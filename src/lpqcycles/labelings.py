@@ -237,17 +237,23 @@ def labeling_from_document(doc: dict) -> tuple[Digraph, Labeling, ConstraintPara
     """Rebuild (graph, labeling, params) from a labeling document."""
     try:
         prod = doc["product"]
-        m, n = int(doc["m"]), int(doc["n"])
-        params = ConstraintParams(int(doc["p"]), int(doc["q"]))
-        k = int(doc["k"])
+        m, n, p, q, k = (doc[key] for key in ("m", "n", "p", "q", "k"))
         labels = doc["labels"]
     except KeyError as exc:
         raise ValueError(f"labeling document missing key {exc}") from None
+    # exact JSON integers only: bool is an int subclass, and int() would
+    # silently truncate floats and parse strings
+    if any(type(x) is not int for x in (m, n, p, q, k)):
+        raise ValueError("m, n, p, q and k must be integers")
+    params = ConstraintParams(p, q)
     if not isinstance(labels, list) or len(labels) != m:
         raise ValueError(f"labels must be a list of {m} rows")
     if any(not isinstance(row, list) or len(row) != n for row in labels):
         raise ValueError(f"every label row must have {n} entries")
-    flat = np.array([c for row in labels for c in row], dtype=np.int64)
+    colors = [c for row in labels for c in row]
+    if any(type(c) is not int for c in colors):
+        raise ValueError("every label must be an integer")
+    flat = np.array(colors, dtype=np.int64)
 
     if prod == "none":
         if m != 1:

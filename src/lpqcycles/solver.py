@@ -6,6 +6,8 @@ so the first witness found is the lexicographically least one and full
 enumeration emits labelings in lexicographic order.  Work is metered in
 search nodes (one node per attempted color assignment); exhausting the
 budget raises BudgetExhausted, a third outcome distinct from "no labeling".
+A budget limits a whole public call: every span exact_lambda tries and
+every worker of a parallel count draw on the same nodes and deadline.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -44,6 +46,10 @@ class BudgetExhausted(RuntimeError):
     def __init__(self, message: str, nodes: int) -> None:
         super().__init__(message)
         self.nodes = nodes
+
+    def __reduce__(self):
+        # a worker's exhaustion is pickled back to the parent process
+        return type(self), (str(self), self.nodes)
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,19 @@ def compile_constraints(
     return fwd
 
 
-_FIND = 0
-_COUNT = 1
+@dataclass
+class _Limits:
+    """What one public call may still spend: the node cap, the nodes spent
+    so far, and an absolute deadline on the monotonic clock."""
+
+    max_nodes: int
+    deadline: float | None
+    spent: int = 0
+
+
+def _limits(budget: SolveBudget) -> _Limits:
+    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
+    return _Limits(budget.max_nodes, deadline)
 
 
 def _run(
@@ -103,12 +120,17 @@ def _run(
     fwd: list[list[tuple[int, tuple[int, ...]]]],
     k: int,
     cand0: int,
-    mode: int,
+    first: bool,
     max_nodes: int,
     deadline: float | None,
+    nodes: int,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Backtracking core.  Returns (first witness or None, count, nodes)."""
+    """Backtracking core.  Returns (first witness or None, count, nodes).
+
+    The node counter starts at `nodes`, the call's spend so far, so that
+    max_nodes caps the whole call.
+    """
 
     full = (1 << (k + 1)) - 1
     dom = [full] * n_v
@@ -117,7 +139,6 @@ def _run(
     mark = [0] * n_v
     trail_v: list[int] = []
     trail_m: list[int] = []
-    nodes = 0
     count = 0
     pos = 0
     cand[0] = cand0
@@ -157,7 +178,7 @@ def _run(
                 dom[trail_v.pop()] = trail_m.pop()
             continue
         if pos + 1 == n_v:
-            if mode == _FIND:
+            if first:
                 return tuple(colors), count, nodes
             count += 1
             if visitor is not None:
@@ -170,8 +191,58 @@ def _run(
         cand[pos] = dom[pos]
 
 
-def _as_labeling(g: Digraph, colors: Sequence[int], k: int) -> Labeling:
-    return Labeling(np.array(colors, dtype=np.int64), k, g.shape)
+def _search(
+    g: Digraph,
+    k: int,
+    params: ConstraintParams,
+    limits: _Limits,
+    extra_pairs: Iterable[tuple[int, int, int]] = (),
+    cap: int | None = None,
+    first: bool = False,
+    visitor: Callable[[tuple[int, ...]], None] | None = None,
+    workers: int = 1,
+) -> tuple[Labeling | None, int]:
+    """The one search behind every public entry point.
+
+    The first vertex tries colors 0..cap (default k).  With first the search
+    stops at the least witness; otherwise it counts every labeling, showing
+    each to visitor.  With workers > 1 the first vertex's colors are dealt
+    round-robin over a process pool, and the parts merge into the least
+    witness, the summed count and the summed nodes.  Nodes are summed before
+    the budget check, so exhaustion does not depend on workers.  Returns
+    (least witness or None, count) and charges the nodes spent to limits.
+    """
+
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    fwd = compile_constraints(g, params, k, extra_pairs)
+    masks = [0] * workers
+    for c in range((k if cap is None else cap) + 1):
+        masks[c % workers] |= 1 << c
+    masks = [mask for mask in masks if mask]
+    spent = limits.spent
+    run_limits = (limits.max_nodes, limits.deadline, spent)
+    if len(masks) == 1:
+        parts = [_run(g.n_vertices, fwd, k, masks[0], first, *run_limits, visitor)]
+    else:
+        with ProcessPoolExecutor(max_workers=len(masks)) as pool:
+            futures = [
+                pool.submit(_run, g.n_vertices, fwd, k, mask, first, *run_limits)
+                for mask in masks
+            ]
+            parts = [future.result() for future in futures]
+
+    # each part's node counter started from spent
+    limits.spent = spent + sum(nodes - spent for _w, _count, nodes in parts)
+    if limits.spent > limits.max_nodes:
+        raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
+    witness = min((w for w, _count, _nodes in parts if w is not None), default=None)
+    count = sum(count for _w, count, _nodes in parts)
+    if witness is None:
+        return None, count
+    return Labeling(np.array(witness, dtype=np.int64), k, g.shape), count
 
 
 def exists_labeling(
@@ -192,16 +263,11 @@ def exists_labeling(
     symmetry breaking stays sound with extras present.
     """
 
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    fwd = compile_constraints(g, params, k, extra_pairs)
     cap = k // 2 if break_symmetry else k
-    cand0 = (1 << (cap + 1)) - 1
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    colors, _count, _nodes = _run(
-        g.n_vertices, fwd, k, cand0, _FIND, budget.max_nodes, deadline
+    witness, _count = _search(
+        g, k, params, _limits(budget), extra_pairs, cap=cap, first=True
     )
-    return None if colors is None else _as_labeling(g, colors, k)
+    return witness
 
 
 def exact_lambda(
@@ -212,16 +278,19 @@ def exact_lambda(
 ) -> LambdaWitness:
     """Smallest k admitting a k-L(p,q)-labeling of g, with its least witness.
 
-    Tries k = 0, 1, 2, ... with a fresh budget per step.  Every graph is
-    satisfiable at (n - 1) * max(p, q), which bounds the scan; a k_max below
-    the true value raises RuntimeError rather than returning a wrong answer.
+    Tries k = 0, 1, 2, ... as exists_labeling does, all under one budget:
+    the nodes and time spent on every span count against it.  Every graph
+    is satisfiable at (n - 1) * max(p, q), which bounds the scan; a k_max
+    below the true value raises RuntimeError rather than returning a wrong
+    answer.
     """
 
     ceiling = (g.n_vertices - 1) * max(params.p, params.q)
     if k_max is None:
         k_max = ceiling
+    limits = _limits(budget)
     for k in range(min(k_max, ceiling) + 1):
-        f = exists_labeling(g, k, params, budget)
+        f, _count = _search(g, k, params, limits, cap=k // 2, first=True)
         if f is not None:
             return LambdaWitness(k, f)
     raise RuntimeError(f"no labeling with span <= {k_max}; k_max is too small")
@@ -240,21 +309,7 @@ def enumerate_labelings(
     the optional visitor sees every color tuple exactly once, in order.
     """
 
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    fwd = compile_constraints(g, params, k)
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    _first, count, _nodes = _run(
-        g.n_vertices, fwd, k, (1 << (k + 1)) - 1, _COUNT, budget.max_nodes, deadline, visitor
-    )
-    return count
-
-
-def _count_worker(
-    args: tuple[int, list[list[tuple[int, tuple[int, ...]]]], int, int, int]
-) -> int:
-    n_v, fwd, k, cand0, max_nodes = args
-    _first, count, _nodes = _run(n_v, fwd, k, cand0, _COUNT, max_nodes, None)
+    _witness, count = _search(g, k, params, _limits(budget), visitor=visitor)
     return count
 
 
@@ -271,27 +326,10 @@ def count_labelings(
     The workhorse behind the identity verifiers: adding an extra pair
     (u, v, 1) counts exactly the labelings with f(u) != f(v).  With
     workers > 1 the first vertex's colors are partitioned round-robin
-    across processes; each worker gets the full node budget, and the merge
-    is a sum, so the result is independent of worker count.
+    across processes.  The workers share one budget: their nodes are
+    summed before the budget check and the counts are summed, so both the
+    result and whether the budget runs out are independent of worker count.
     """
 
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    fwd = compile_constraints(g, params, k, extra_pairs)
-    if workers == 1 or k == 0:
-        deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-        _first, count, _nodes = _run(
-            g.n_vertices, fwd, k, (1 << (k + 1)) - 1, _COUNT, budget.max_nodes, deadline
-        )
-        return count
-
-    masks = [0] * workers
-    for c in range(k + 1):
-        masks[c % workers] |= 1 << c
-    jobs = [
-        (g.n_vertices, fwd, k, mask, budget.max_nodes) for mask in masks if mask
-    ]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return sum(pool.map(_count_worker, jobs))
+    _witness, count = _search(g, k, params, _limits(budget), extra_pairs, workers=workers)
+    return count

@@ -78,6 +78,12 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
+    # a worker's exhaustion crosses the process pool
+    code, _, err = run(
+        "lemmas", "--parallel", "2", "--budget-nodes", "10", capsys=capsys,
+    )
+    assert code == 3
+    assert "budget exhausted" in err
 
 
 # --- construct ---------------------------------------------------------------
@@ -173,6 +179,17 @@ def test_verify_malformed_document(tmp_path, capsys):
     f.write_text("not json at all")
     code, _, _ = run("verify", str(f), capsys=capsys)
     assert code == 2
+    # non-integer fields are refused, not truncated by int()
+    doc = {"product": "none", "m": 1, "n": 5, "p": 2, "q": 1, "k": 4,
+           "labels": [[0, 2, 4, 1, 3]]}
+    for key, value in [
+        ("labels", [[0.9, 2.5, 4.2, 1.7, 3.1]]),
+        ("labels", [[True, 3, 0, 2, 4]]),
+        ("m", 1.7),
+    ]:
+        f.write_text(json.dumps({**doc, key: value}))
+        code, _, err = run("verify", str(f), capsys=capsys)
+        assert code == 2 and err.startswith("error:"), (key, value)
 
 
 # --- lemmas ------------------------------------------------------------------

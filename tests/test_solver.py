@@ -135,6 +135,37 @@ def test_time_cap():
         enumerate_labelings(g, 7, budget=SolveBudget(time_cap=1e-9))
 
 
+def test_time_cap_holds_with_workers():
+    with pytest.raises(BudgetExhausted):
+        count_labelings(grid(STRONG, 4, 4), 7, budget=SolveBudget(time_cap=1e-9), workers=2)
+
+
+def test_budget_covers_every_span_of_exact_lambda():
+    # the scan spends 552,013 nodes in all; no single span reaches 520,000
+    g = torus(STRONG, 7, 8)
+    with pytest.raises(BudgetExhausted):
+        exact_lambda(g, budget=SolveBudget(max_nodes=520_000))
+    assert exact_lambda(g, budget=SolveBudget(max_nodes=552_013)).value == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("max_nodes,expected", [(5_000, None), (6_000, 180)])
+def test_workers_share_one_node_budget(workers, max_nodes, expected):
+    # the full count takes 5,987 nodes, 3,252 + 2,735 over two workers
+    g, budget = grid(STRONG, 4, 4), SolveBudget(max_nodes=max_nodes)
+    if expected is None:
+        with pytest.raises(BudgetExhausted):
+            count_labelings(g, 6, budget=budget, workers=workers)
+    else:
+        assert count_labelings(g, 6, budget=budget, workers=workers) == expected
+
+
+def test_budget_exhaustion_crosses_the_pool():
+    with pytest.raises(BudgetExhausted) as exc:
+        count_labelings(grid(CART, 3, 3), 4, budget=SolveBudget(max_nodes=10), workers=2)
+    assert exc.value.nodes > 10
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=0)
