@@ -19,9 +19,9 @@ for m, n in [(40, 45), (42, 42), (41, 40), (43, 40)]:
 res = lambda_cartesian(40, 45)
 print("witness checks out:", validate(torus(ProductKind.CARTESIAN, 40, 45), res.witness) == [])
 
-# the span-5 lower bound rests on a descent: subtracting the smaller
-# side from the larger preserves both gcd and labelings, and bottoms
-# out in a window small enough to try every case
+# the paper's descent subtracts the smaller side from the larger; it
+# preserves gcd and labelings, so the span-5 certificate searches words
+# of length gcd(m, n) directly and the descent is shown for reference
 term = descent_terminal(43, 40)
 print("descent:", " -> ".join(map(str, term.trace)), "terminal", term.kind.value)
 

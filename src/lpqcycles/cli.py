@@ -16,17 +16,18 @@ import argparse
 import json
 import sys
 from math import gcd
-from typing import IO
 
 from .graphs import ProductKind, torus
 from .labelings import (
-    ConstraintParams,
     Labeling,
     labeling_document,
     read_labeling,
     validate,
+    write_labeling,
 )
 from .lambda_numbers import (
+    CheckReport,
+    construction,
     descent_terminal,
     lambda_cartesian,
     lambda_strong,
@@ -34,10 +35,8 @@ from .lambda_numbers import (
     verify_lemma_strong_local,
 )
 from .patterns import (
-    concatenated_strong_pattern,
     conditions_for,
     exists_cycle_pattern,
-    l21_cycle_pattern,
     lift_diagonal,
     semigroup_decompose,
 )
@@ -66,42 +65,8 @@ def _write_doc(path: str, doc: object) -> None:
         fp.write("\n")
 
 
-def _print_labeling(f: Labeling, params: ConstraintParams, fmt: str, out: IO[str]) -> None:
-    if fmt == "json":
-        json.dump(labeling_document(f, params), out, indent=1)
-        out.write("\n")
-    else:
-        out.write(_grid_text(f) + "\n")
-
-
-def _parse_product(name: str) -> ProductKind:
-    return ProductKind(name)
-
-
-def _construction(kind: ProductKind, m: int, n: int):
-    """The certificate labeling the dichotomies provide for C_m x C_n,
-    with its base pattern, or a reason there is none."""
-
-    d = gcd(m, n)
-    if kind is ProductKind.CARTESIAN:
-        if d < 3:
-            return None, None, f"no lifted construction: gcd({m}, {n}) = {d} < 3"
-        pat = l21_cycle_pattern(d)
-    else:
-        if m % 7 == 0 and n % 7 == 0:
-            pat = concatenated_strong_pattern(7)
-        elif semigroup_decompose(d, 7, 8) is not None:
-            pat = concatenated_strong_pattern(d)
-        else:
-            return None, None, (
-                f"no lifted construction: gcd({m}, {n}) = {d} "
-                "is not a sum of 7s and 8s"
-            )
-    return lift_diagonal(pat, kind, m, n), pat, None
-
-
 def _cmd_lambda(args: argparse.Namespace) -> int:
-    kind = _parse_product(args.product)
+    kind = ProductKind(args.product)
     fn = lambda_cartesian if kind is ProductKind.CARTESIAN else lambda_strong
     res = fn(args.m, args.n, solve=args.solve, budget=_budget(args))
     if res.is_exact:
@@ -114,32 +79,30 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
         if res.witness is not None:
             _write_doc(args.out, labeling_document(res.witness))
         else:
-            _write_doc(
-                args.out,
-                {
-                    "check": f"lambda-{kind.value}-{args.m}x{args.n}-in-{res.lo}..{res.hi}",
-                    "holds": True,
-                    "count": 0,
-                    "witness": None,
-                },
-            )
+            check = f"lambda-{kind.value}-{args.m}x{args.n}-in-{res.lo}..{res.hi}"
+            _write_doc(args.out, CheckReport(check, True, 0, None).to_document())
     return 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    kind = _parse_product(args.product)
+    kind = ProductKind(args.product)
     if args.m < 3 or args.n < 3:
         raise ValueError("cycle sizes must be at least 3")
-    f, pat, why = _construction(kind, args.m, args.n)
-    if f is None:
-        raise ValueError(why)
+    pat = construction(kind, args.m, args.n)
+    if pat is None:
+        d = gcd(args.m, args.n)
+        raise ValueError(f"no lifted construction: gcd({args.m}, {args.n}) = {d}")
+    f = lift_diagonal(pat, kind, args.m, args.n)
     if args.max_span is not None and f.k_budget > args.max_span:
         raise ValueError(f"construction needs span {f.k_budget} > limit {args.max_span}")
     bad = validate(torus(kind, args.m, args.n), f)
     if bad:
         print(f"construction failed its own validation: {bad[0]}", file=sys.stderr)
         return 1
-    _print_labeling(f, ConstraintParams(), args.format, sys.stdout)
+    if args.format == "json":
+        write_labeling(sys.stdout, f)
+    else:
+        print(_grid_text(f))
     if args.out:
         _write_doc(args.out, labeling_document(f, pattern=pat.colors))
     return 0
@@ -188,7 +151,7 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     if args.conditions:
         conds = tuple(int(c) for c in args.conditions.split(","))
     else:
-        conds = conditions_for(_parse_product(args.product))
+        conds = conditions_for(ProductKind(args.product))
     span = args.span if args.span is not None else (max(conds) * 2)
 
     if args.feasible_up_to is not None:
@@ -285,8 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--span", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
-    p.add_argument("--budget-nodes", type=int, default=10**9)
-    p.add_argument("--out", metavar="FILE")
+    add_common(p, product=False)
     p.set_defaults(fn=_cmd_lemmas)
 
     p = sub.add_parser("pattern", help="search cyclic color patterns")
@@ -317,10 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:

@@ -11,10 +11,12 @@ The dichotomies implemented here:
 
 Every lower bound asserted here is reduced to finite checks this module
 runs itself: exhaustive enumeration of small path-grid labelings (whose
-universal identities force torus labelings to be diagonal), the arithmetic
-descent to a terminal torus, and exhaustive search for cyclic patterns.
-Smaller instances fall outside the dichotomies; an explicit solve flag
-hands them to the exact solver instead.
+universal identities force torus labelings to be diagonal) and exhaustive
+search for cyclic patterns of length gcd(m, n).  The paper's row-reduction
+descent is kept as descent_terminal; it preserves gcd(m, n), so it adds
+nothing to the word search and no certificate uses it.  Smaller instances
+fall outside the dichotomies; an explicit solve flag hands them to the
+exact solver instead.
 """
 
 from __future__ import annotations
@@ -143,9 +145,17 @@ def descent_terminal(m: int, n: int) -> DescentTerminal:
 _lemma_cache: dict[tuple, CheckReport] = {}
 _subgraph_cache: dict[ProductKind, LambdaWitness] = {}
 
+# per product kind: the side floor of the dichotomy, the window span at
+# which the local identity holds (also the span of the window grid), and
+# the upper bound cited when no lift exists
+_DICHOTOMY = {
+    ProductKind.CARTESIAN: (40, 4, 5),
+    ProductKind.STRONG: (48, 6, 8),
+}
 
-def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int, int]:
-    """The path grid, identity vertex pair, and default span for a product kind.
+
+def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
+    """The path grid and identity vertex pair for a product kind.
 
     The identity is the one equation whose universal validity on the small
     grid forces every torus labeling at that span to be diagonal: each cell
@@ -155,16 +165,16 @@ def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int, int]:
 
     if kind is ProductKind.CARTESIAN:
         g = grid(kind, 3, 3)
-        return g, g.shape.vertex_id(1, 1), g.shape.vertex_id(0, 2), 4
+        return g, g.shape.vertex_id(1, 1), g.shape.vertex_id(0, 2)
     g = grid(kind, 4, 4)
-    return g, g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1), 6
+    return g, g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
 
 
 def _verify_local(
     kind: ProductKind, span: int | None, workers: int, budget: SolveBudget
 ) -> CheckReport:
-    g, u, v, default_span = _local_identity(kind)
-    k = default_span if span is None else span
+    g, u, v = _local_identity(kind)
+    k = _DICHOTOMY[kind][1] if span is None else span
     key = (kind, k)
     if workers == 1 and key in _lemma_cache:
         return _lemma_cache[key]
@@ -235,9 +245,25 @@ def _subgraph_floor(kind: ProductKind, budget: SolveBudget) -> LambdaWitness:
     """
 
     if kind not in _subgraph_cache:
-        g = grid(kind, *((3, 3) if kind is ProductKind.CARTESIAN else (4, 4)))
-        _subgraph_cache[kind] = exact_lambda(g, budget=budget)
+        _subgraph_cache[kind] = exact_lambda(_local_identity(kind)[0], budget=budget)
     return _subgraph_cache[kind]
+
+
+def construction(kind: ProductKind, m: int, n: int) -> Pattern | None:
+    """The base word whose diagonal lift certifies the span of C_m x C_n,
+    or None when the dichotomy lifts none.
+
+    Cartesian: the (2, 1) word of length gcd(m, n) when gcd(m, n) >= 3.
+    Strong: the block 0246135 when 7 divides m and n, else the 7/8 block
+    concatenation of length gcd(m, n) when gcd(m, n) >= 42.
+    """
+
+    d = gcd(m, n)
+    if kind is ProductKind.CARTESIAN:
+        return l21_cycle_pattern(d) if d >= 3 else None
+    if m % 7 == 0 and n % 7 == 0:
+        return concatenated_strong_pattern(7)
+    return concatenated_strong_pattern(d) if d >= 42 else None
 
 
 def _checked_lift(
@@ -272,24 +298,63 @@ def _no_diagonal_span(kind: ProductKind, span: int, m: int, n: int) -> None:
         )
 
 
-def _require_range(m: int, n: int, floor: int, solve: bool) -> None:
+def _dichotomy(
+    kind: ProductKind, m: int, n: int, solve: bool, budget: SolveBudget
+) -> LambdaResult:
+    side, span, cited = _DICHOTOMY[kind]
     if m < 3 or n < 3:
         raise ValueError("cycle sizes must be at least 3")
-    if (m < floor or n < floor) and not solve:
-        raise ValueError(
-            f"the dichotomy is stated for m, n >= {floor}; "
-            f"pass solve=True to run the exact solver on C_{m} x C_{n}"
+    if m < side or n < side:
+        if not solve:
+            raise ValueError(
+                f"the dichotomy is stated for m, n >= {side}; "
+                f"pass solve=True to run the exact solver on C_{m} x C_{n}"
+            )
+        res = exact_lambda(torus(kind, m, n), budget=budget)
+        return LambdaResult(
+            res.value,
+            res.value,
+            CertificateKind.CONSTRUCTED,
+            res.witness,
+            f"exact solver: exhausted span {res.value - 1}, witness at {res.value}",
         )
 
-
-def _solved(kind: ProductKind, m: int, n: int, budget: SolveBudget) -> LambdaResult:
-    res = exact_lambda(torus(kind, m, n), budget=budget)
+    floor = _subgraph_floor(kind, budget)
+    if floor.value != span:
+        raise RuntimeError(f"grid floor is {floor.value}, expected {span}")
+    pat = construction(kind, m, n)
+    if pat is not None and pat.span <= span:
+        window = floor.witness.shape
+        lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
+    else:
+        lemma_fn = (
+            verify_lemma_cartesian_local
+            if kind is ProductKind.CARTESIAN
+            else verify_lemma_strong_local
+        )
+        lemma = lemma_fn(budget=budget)
+        if not lemma.holds:
+            raise RuntimeError("local diagonality identity failed; dichotomy unsound")
+        _no_diagonal_span(kind, span, m, n)
+        lo, lower = span + 1, (
+            f"lower bound {span + 1} verified: every span-{span} labeling is diagonal "
+            f"({lemma.count} grid labelings checked) and no length-{gcd(m, n)} "
+            "pattern exists"
+        )
+    if pat is None:
+        certificate = (
+            CertificateKind.CITED_UPPER_VERIFIED_LOWER
+            if lo == cited
+            else CertificateKind.INTERVAL_CITED
+        )
+        return LambdaResult(lo, cited, certificate, None, f"upper bound {cited} cited; {lower}")
+    f, how = _checked_lift(pat, kind, m, n, lo)
     return LambdaResult(
-        res.value,
-        res.value,
+        lo,
+        lo,
         CertificateKind.CONSTRUCTED,
-        res.witness,
-        f"exact solver: exhausted span {res.value - 1}, witness at {res.value}",
+        f,
+        f"lift of the length-{pat.length} pattern; {how}; {lower}",
     )
 
 
@@ -300,45 +365,12 @@ def lambda_cartesian(
 
     gcd(m, n) >= 3 gives 4 with a validated lifted witness; otherwise the
     span is 5: the upper bound is cited, and the lower bound is verified
-    here by the local diagonality identity, the descent to a terminal
-    torus, and the absence of a short pattern.  Below the stated range the
-    dichotomy is not asserted; solve=True computes the value exactly.
+    here by the local diagonality identity and the absence of a short
+    pattern.  Below the stated range the dichotomy is not asserted;
+    solve=True computes the value exactly.
     """
 
-    _require_range(m, n, 40, solve)
-    if m < 40 or n < 40:
-        return _solved(ProductKind.CARTESIAN, m, n, budget)
-
-    floor = _subgraph_floor(ProductKind.CARTESIAN, budget)
-    d = gcd(m, n)
-    if d >= 3:
-        if floor.value != 4:
-            raise RuntimeError(f"grid floor is {floor.value}, expected 4")
-        f, how = _checked_lift(l21_cycle_pattern(d), ProductKind.CARTESIAN, m, n, 4)
-        return LambdaResult(
-            4,
-            4,
-            CertificateKind.CONSTRUCTED,
-            f,
-            f"lift of the length-{d} pattern; {how}; "
-            f"lower bound {floor.value} from the 3 x 3 grid",
-        )
-
-    lemma = verify_lemma_cartesian_local(budget=budget)
-    if not lemma.holds:
-        raise RuntimeError("local diagonality identity failed; dichotomy unsound")
-    term = descent_terminal(m, n)
-    _no_diagonal_span(ProductKind.CARTESIAN, 4, term.rows, term.cols)
-    return LambdaResult(
-        5,
-        5,
-        CertificateKind.CITED_UPPER_VERIFIED_LOWER,
-        None,
-        "upper bound 5 cited; lower bound verified: every span-4 labeling is "
-        f"diagonal ({lemma.count} grid labelings checked), descent ends at "
-        f"C_{term.rows} x C_{term.cols} ({term.kind.value}), and no length-{gcd(m, n)} "
-        "pattern exists",
-    )
+    return _dichotomy(ProductKind.CARTESIAN, m, n, solve, budget)
 
 
 def lambda_strong(
@@ -354,47 +386,4 @@ def lambda_strong(
     small instances exactly.
     """
 
-    _require_range(m, n, 48, solve)
-    if m < 48 or n < 48:
-        return _solved(ProductKind.STRONG, m, n, budget)
-
-    floor = _subgraph_floor(ProductKind.STRONG, budget)
-    if m % 7 == 0 and n % 7 == 0:
-        if floor.value != 6:
-            raise RuntimeError(f"grid floor is {floor.value}, expected 6")
-        pat = concatenated_strong_pattern(7)
-        f, how = _checked_lift(pat, ProductKind.STRONG, m, n, 6)
-        return LambdaResult(
-            6,
-            6,
-            CertificateKind.CONSTRUCTED,
-            f,
-            f"lift of the length-7 block; {how}; "
-            f"lower bound {floor.value} from the 4 x 4 grid",
-        )
-
-    lemma = verify_lemma_strong_local(budget=budget)
-    if not lemma.holds:
-        raise RuntimeError("local diagonality identity failed; dichotomy unsound")
-    _no_diagonal_span(ProductKind.STRONG, 6, m, n)
-    lower_note = (
-        f"lower bound 7 verified: every span-6 labeling is diagonal "
-        f"({lemma.count} grid labelings checked) and no length-{gcd(m, n)} pattern exists"
-    )
-    d = gcd(m, n)
-    if d >= 42:
-        f, how = _checked_lift(concatenated_strong_pattern(d), ProductKind.STRONG, m, n, 7)
-        return LambdaResult(
-            7,
-            7,
-            CertificateKind.CONSTRUCTED,
-            f,
-            f"lift of the length-{d} block concatenation; {how}; {lower_note}",
-        )
-    return LambdaResult(
-        7,
-        8,
-        CertificateKind.INTERVAL_CITED,
-        None,
-        f"upper bound 8 cited; {lower_note}",
-    )
+    return _dichotomy(ProductKind.STRONG, m, n, solve, budget)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
+from lpqcycles import CertificateKind, lambda_cartesian, lambda_strong
 from lpqcycles.cli import main
 
 
@@ -33,19 +35,30 @@ def test_lambda_strong_exact_with_witness_doc(tmp_path, capsys):
     assert text.startswith("valid:")
 
 
-def test_lambda_cited_result_writes_report_doc(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "product,m,n,answer,certificate,check",
+    [
+        pytest.param("cartesian", 41, 40, "Exact 5", "cited-upper-verified-lower",
+                     "lambda-cartesian-41x40-in-5..5", id="cartesian-41x40"),
+        pytest.param("strong", 48, 50, "Interval 7 8", "interval-cited",
+                     "lambda-strong-48x50-in-7..8", id="strong-48x50"),
+    ],
+)
+def test_lambda_cited_result_writes_report_doc(
+    tmp_path, capsys, product, m, n, answer, certificate, check
+):
     out = tmp_path / "rep.json"
     code, text, _ = run(
-        "lambda", "--product", "cartesian", "--m", "41", "--n", "40",
+        "lambda", "--product", product, "--m", str(m), "--n", str(n),
         "--out", str(out), capsys=capsys,
     )
     assert code == 0
-    assert "Exact 5" in text
-    assert "certificate: cited-upper-verified-lower" in text
+    assert answer in text
+    assert f"certificate: {certificate}" in text
     doc = json.loads(out.read_text())
     assert list(doc) == ["check", "holds", "count", "witness"]
     assert doc["holds"] is True and doc["witness"] is None
-    assert "lambda-cartesian-41x40-in-5..5" == doc["check"]
+    assert check == doc["check"]
 
 
 def test_lambda_interval(capsys):
@@ -137,6 +150,36 @@ def test_construct_refuses_when_no_lift_exists(capsys):
     )
     assert code == 2
     assert "gcd(41, 40) = 1" in err
+
+
+@pytest.mark.parametrize(
+    "product,m,n",
+    [
+        # one torus per row of the README table
+        ("cartesian", 40, 45),
+        ("cartesian", 41, 40),
+        ("strong", 49, 56),
+        ("strong", 90, 135),
+        ("strong", 48, 50),
+        # gcd 15, 16 and 30 are sums of 7s and 8s but below 42: the
+        # dispatch lifts nothing there, so construct must not either
+        ("strong", 60, 75),
+        ("strong", 48, 80),
+        ("strong", 60, 90),
+    ],
+)
+def test_construct_builds_exactly_the_constructed_certificates(capsys, product, m, n):
+    res = (lambda_cartesian if product == "cartesian" else lambda_strong)(m, n)
+    code, text, err = run(
+        "construct", "--product", product, "--m", str(m), "--n", str(n),
+        "--format", "json", capsys=capsys,
+    )
+    if res.certificate is CertificateKind.CONSTRUCTED:
+        assert code == 0
+        assert json.loads(text)["k"] == res.value == res.witness.k_budget
+    else:
+        assert code == 2 and text == ""
+        assert f"no lifted construction: gcd({m}, {n}) = {gcd(m, n)}" in err
 
 
 def test_construct_max_span_guard(capsys):
