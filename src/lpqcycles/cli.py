@@ -17,11 +17,12 @@ import json
 import sys
 from math import gcd
 
-from .graphs import ProductKind, torus
+from .graphs import ProductKind
 from .labelings import (
     Labeling,
     labeling_document,
     read_labeling,
+    torus_violations,
     validate,
     write_labeling,
 )
@@ -95,7 +96,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     f = lift_diagonal(pat, kind, args.m, args.n)
     if args.max_span is not None and f.k_budget > args.max_span:
         raise ValueError(f"construction needs span {f.k_budget} > limit {args.max_span}")
-    bad = validate(torus(kind, args.m, args.n), f)
+    bad = torus_violations(kind, f.color_grid())
     if bad:
         print(f"construction failed its own validation: {bad[0]}", file=sys.stderr)
         return 1

@@ -175,10 +175,8 @@ def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeli
     L = pattern.length
     if m % L or n % L:
         raise ValueError(f"pattern length {L} must divide both {m} and {n}")
-    grid = np.empty((m, n), dtype=np.int64)
-    row = np.array([pattern.colors[j % L] for j in range(n)], dtype=np.int64)
-    for i in range(m):
-        grid[i] = np.roll(row, -(i % L))
+    word = np.array(pattern.colors, dtype=np.int64)
+    grid = word[(np.arange(m)[:, None] + np.arange(n)[None, :]) % L]
     return Labeling(grid.reshape(-1), pattern.span, ProductShape(kind, m, n, cyclic=True))
 
 

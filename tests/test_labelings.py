@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpqcycles import (
     ConstraintParams,
+    Digraph,
     Labeling,
     ProductKind,
     ProductShape,
@@ -23,6 +24,7 @@ from lpqcycles import (
     read_labeling,
     reduce_rows,
     torus,
+    torus_violations,
     validate,
     write_labeling,
 )
@@ -108,6 +110,33 @@ def test_validate_agrees_with_oracle_on_random_labelings(colors):
         if abs(colors[a] - colors[b]) < need
     }
     assert bad == want
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("m", range(3, 10))
+def test_torus_stencil_matches_generic_path(kind, m):
+    """The stencil validate uses on tori against the pair map of a
+    shape-less copy of the same graph, on every torus with sides 3..9
+    (offsets wrap onto each other at sides 3 and 4)."""
+    rng = np.random.default_rng(m)
+    for n in range(3, 10):
+        g = torus(kind, m, n)
+        plain = Digraph(g.n_vertices, g.out_edges)
+        for p, q in [(2, 1), (1, 2), (0, 1), (3, 3)]:
+            params = ConstraintParams(p, q)
+            for trial in range(6):
+                colors = rng.integers(0, 5, m * n)
+                colors[2] = colors[0]  # offset (0, 2) needs gap >= 1 at every (p, q)
+                f = lab(colors, 4, g.shape if trial % 2 else None)
+                want = validate(plain, f, params)
+                assert want
+                assert validate(g, f, params) == want
+                assert torus_violations(kind, colors.reshape(m, n), params) == want
+
+
+def test_torus_violations_guards():
+    with pytest.raises(ValueError):
+        torus_violations(CART, np.zeros((2, 5), dtype=np.int64))
 
 
 def test_labeling_guards():

@@ -3,6 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from lpqcycles import lambda_numbers
 from lpqcycles import (
     CertificateKind,
     Labeling,
@@ -16,6 +17,7 @@ from lpqcycles import (
     lambda_cartesian,
     lambda_strong,
     torus,
+    torus_violations,
     validate,
     validate_pattern,
     verify_l2211_periodicity,
@@ -215,6 +217,55 @@ def test_strong_gcd48_exact_7():
     res = lambda_strong(48, 48)
     assert res.is_exact and res.value == 7
     assert res.certificate is CertificateKind.CONSTRUCTED
+
+
+def test_strong_lift_above_two_million_cells_is_validated_in_full():
+    res = lambda_strong(1421, 1421)
+    assert res.value == 6
+    assert "lift validated on the full torus" in res.note
+    big = res.witness.color_grid().copy()
+    assert big.size > 2_000_000
+    assert torus_violations(STRONG, big) == []
+
+    # the lift repeats with period 7 both ways, and a 7 x 7 torus is wide
+    # enough that no constraint wraps, so recoloring one cell breaks the
+    # same constraints as recoloring its image on the 7 x 7 torus, which
+    # the generic path checks
+    i0, j0, color = 700, 1000, 3
+    big[i0, j0] = color
+    small = res.witness.color_grid()[:7, :7].copy()
+    a0, b0 = i0 % 7, j0 % 7
+    small[a0, b0] = color
+    g = torus(STRONG, 7, 7)
+    assert big[i0, j0] != res.witness.color_grid()[i0, j0]
+
+    def lifted(v):
+        a, b = divmod(v, 7)
+        da, db = (a - a0 + 3) % 7 - 3, (b - b0 + 3) % 7 - 3
+        return (i0 + da) * 1421 + (j0 + db)
+
+    want = set()
+    for v in validate(g, Labeling(small.reshape(-1), 6, g.shape)):
+        assert a0 * 7 + b0 in v.pair
+        pair = tuple(sorted(lifted(x) for x in v.pair))
+        labels = tuple(int(big.flat[x]) for x in pair)
+        want.add((v.kind, pair, labels, v.required))
+    got = torus_violations(STRONG, big)
+    assert {(v.kind, v.pair, v.labels, v.required) for v in got} == want
+    assert len(got) == len(want) > 0
+    assert [v.pair for v in got] == sorted(v.pair for v in got)
+
+
+def test_warm_dispatch_builds_no_window_grid(monkeypatch):
+    lambda_strong(96, 100)
+    lambda_cartesian(41, 43)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("window grid built on a warm lemma cache")
+
+    monkeypatch.setattr(lambda_numbers, "grid", no_grid)
+    assert (lambda_strong(96, 100).lo, lambda_strong(96, 100).hi) == (7, 8)
+    assert lambda_cartesian(41, 43).value == 5
 
 
 def test_strong_range_gate_and_solve():
