@@ -136,9 +136,11 @@ def descent_terminal(m: int, n: int) -> DescentTerminal:
     return DescentTerminal(big, small, kind, tuple(trace))
 
 
-# cached per process: these enumerations back every dichotomy dispatch
-_lemma_cache: dict[tuple, CheckReport] = {}
-_subgraph_cache: dict[ProductKind, LambdaWitness] = {}
+# cached per process: these enumerations back every dichotomy dispatch.
+# The budget is part of the key, so a cached answer never stands in for a
+# call whose own budget would run out.
+_lemma_cache: dict[tuple[ProductKind, int, SolveBudget], CheckReport] = {}
+_subgraph_cache: dict[tuple[ProductKind, SolveBudget], LambdaWitness] = {}
 
 # per product kind: the side floor of the dichotomy, the window span at
 # which the local identity holds (also the span of the window grid), and
@@ -169,7 +171,7 @@ def _verify_local(
     kind: ProductKind, span: int | None, workers: int, budget: SolveBudget
 ) -> CheckReport:
     k = _DICHOTOMY[kind][1] if span is None else span
-    key = (kind, k)
+    key = (kind, k, budget)
     if workers == 1 and key in _lemma_cache:
         return _lemma_cache[key]
     g, u, v = _local_identity(kind)
@@ -177,9 +179,7 @@ def _verify_local(
     bad = count_labelings(g, k, extra_pairs=[(u, v, 1)], budget=budget, workers=workers)
     witness = None
     if bad:
-        witness = exists_labeling(
-            g, k, budget=budget, break_symmetry=False, extra_pairs=[(u, v, 1)]
-        )
+        witness = exists_labeling(g, k, budget=budget, extra_pairs=[(u, v, 1)])
         if witness is None:
             raise RuntimeError("counterexample count is positive but none was found")
     name = f"{kind.value}-local-diagonality-span-{k}"
@@ -239,9 +239,10 @@ def _subgraph_floor(kind: ProductKind, budget: SolveBudget) -> LambdaWitness:
     span from below.
     """
 
-    if kind not in _subgraph_cache:
-        _subgraph_cache[kind] = exact_lambda(_local_identity(kind)[0], budget=budget)
-    return _subgraph_cache[kind]
+    key = (kind, budget)
+    if key not in _subgraph_cache:
+        _subgraph_cache[key] = exact_lambda(_local_identity(kind)[0], budget=budget)
+    return _subgraph_cache[key]
 
 
 def construction(kind: ProductKind, m: int, n: int) -> Pattern | None:

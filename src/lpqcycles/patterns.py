@@ -13,6 +13,11 @@ whenever L divides both m and n:
     offsets to 2, so the condition vector is (2, 1).
   * Strong product, L(2,2,1,1)-style: offsets 1..4 appear with required
     gaps (2, 2, 1, 1).
+
+The word search has no engine of its own: exists_cycle_pattern poses the
+offset conditions as extra pairs on an edgeless graph and calls the
+solver, so it runs on the same iterative, budgeted backtracker as every
+other search.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductKind, ProductShape
-from .labelings import Labeling
+from .graphs import Digraph, ProductKind, ProductShape
+from .labelings import ConstraintParams, Labeling
+from .solver import exists_labeling
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,12 @@ def exists_cycle_pattern(
 ) -> Pattern | None:
     """Lexicographically least pattern of a given length and span, or None.
 
-    Searches color words over 0..span by backtracking, colors ascending.
-    Offsets that wrap onto their own position rule the length out up front.
+    A word is a labeling of `length` unconnected vertices, so the search is
+    one solver call: offset t at gap c_t becomes the pairs (s, s + t mod
+    length) for every position s, a pair reached by several offsets keeps
+    the largest gap, and the solver returns its least witness under its
+    default budget.  Offsets that wrap onto their own position rule the
+    length out up front.
     """
 
     if length <= 0 or span < 0:
@@ -195,34 +205,17 @@ def exists_cycle_pattern(
         if need >= 1 and t % length == 0:
             return None
 
-    r = len(conditions)
-    word = [0] * length
-
-    def fits(s: int, c: int) -> bool:
-        # a pair is checked once the later of its endpoints gets a color;
-        # both cyclic partners of s at each offset cover that exactly
-        for t in range(1, r + 1):
-            need = conditions[t - 1]
-            if need == 0:
-                continue
-            for e in ((s - t) % length, (s + t) % length):
-                if e < s and abs(word[e] - c) < need:
-                    return False
-        return True
-
-    def search(s: int) -> bool:
-        if s == length:
-            return True
-        for c in range(span + 1):
-            if fits(s, c):
-                word[s] = c
-                if search(s + 1):
-                    return True
-        return False
-
-    if not search(0):
+    pairs = [
+        (s, (s + t) % length, need)
+        for t, need in enumerate(conditions, start=1)
+        if need
+        for s in range(length)
+    ]
+    words = Digraph(length, ((),) * length)
+    f = exists_labeling(words, span, ConstraintParams(0, 0), extra_pairs=pairs)
+    if f is None:
         return None
-    pat = Pattern(tuple(word), conditions)
+    pat = Pattern(f.as_tuple(), conditions)
     if validate_pattern(pat):
         raise RuntimeError("pattern search returned an invalid word")
     return pat

@@ -197,20 +197,21 @@ def _search(
     params: ConstraintParams,
     limits: _Limits,
     extra_pairs: Iterable[tuple[int, int, int]] = (),
-    cap: int | None = None,
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
     workers: int = 1,
 ) -> tuple[Labeling | None, int]:
     """The one search behind every public entry point.
 
-    The first vertex tries colors 0..cap (default k).  With first the search
-    stops at the least witness; otherwise it counts every labeling, showing
-    each to visitor.  With workers > 1 the first vertex's colors are dealt
-    round-robin over a process pool, and the parts merge into the least
-    witness, the summed count and the summed nodes.  Nodes are summed before
-    the budget check, so exhaustion does not depend on workers.  Returns
-    (least witness or None, count) and charges the nodes spent to limits.
+    With first the search stops at the least witness, and the first vertex
+    only tries colors up to floor(k/2): the map c -> k - c carries a witness
+    starting above that to a smaller one, so the least witness starts there.
+    Otherwise it counts every labeling, showing each to visitor.  With
+    workers > 1 the first vertex's colors are dealt round-robin over a
+    process pool, and the parts merge into the least witness, the summed
+    count and the summed nodes.  Nodes are summed before the budget check,
+    so exhaustion does not depend on workers.  Returns (least witness or
+    None, count) and charges the nodes spent to limits.
     """
 
     if k < 0:
@@ -219,7 +220,7 @@ def _search(
         raise ValueError("workers must be positive")
     fwd = compile_constraints(g, params, k, extra_pairs)
     masks = [0] * workers
-    for c in range((k if cap is None else cap) + 1):
+    for c in range((k // 2 if first else k) + 1):
         masks[c % workers] |= 1 << c
     masks = [mask for mask in masks if mask]
     spent = limits.spent
@@ -250,23 +251,19 @@ def exists_labeling(
     k: int,
     params: ConstraintParams = DEFAULT_PARAMS,
     budget: SolveBudget = DEFAULT_BUDGET,
-    break_symmetry: bool = True,
     extra_pairs: Iterable[tuple[int, int, int]] = (),
 ) -> Labeling | None:
     """Lexicographically least k-L(p,q)-labeling of g, or None.
 
-    With break_symmetry the first vertex only tries colors up to floor(k/2);
-    the map c -> k - c carries any witness to one in that range, and the
-    least witness overall already starts there, so the answer (not just
-    feasibility) is unchanged.  extra_pairs works as in count_labelings;
-    the separation |f(u) - f(v)| >= gap is invariant under c -> k - c, so
-    symmetry breaking stays sound with extras present.
+    The first vertex only tries colors up to floor(k/2), which cannot skip
+    the least witness: the map c -> k - c keeps every separation
+    |f(u) - f(v)| >= gap, extra pairs included, and carries a witness
+    starting above floor(k/2) to a smaller one.  extra_pairs works as in
+    count_labelings; the cyclic word search (patterns.exists_cycle_pattern)
+    is such a call on an edgeless graph.
     """
 
-    cap = k // 2 if break_symmetry else k
-    witness, _count = _search(
-        g, k, params, _limits(budget), extra_pairs, cap=cap, first=True
-    )
+    witness, _count = _search(g, k, params, _limits(budget), extra_pairs, first=True)
     return witness
 
 
@@ -290,7 +287,7 @@ def exact_lambda(
         k_max = ceiling
     limits = _limits(budget)
     for k in range(min(k_max, ceiling) + 1):
-        f, _count = _search(g, k, params, limits, cap=k // 2, first=True)
+        f, _count = _search(g, k, params, limits, first=True)
         if f is not None:
             return LambdaWitness(k, f)
     raise RuntimeError(f"no labeling with span <= {k_max}; k_max is too small")

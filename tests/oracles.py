@@ -4,7 +4,8 @@ Everything here re-derives constraints from a graph's raw out-edge lists
 with numpy and shares no logic with the package's own constraint builder
 or search engine: a brute-force assignment filter, a row-transfer DP for
 the 4 x 4 strong grid, a window-transfer feasibility check for cyclic
-patterns, and literal semigroup membership.
+patterns, a recursive backtracker for least cyclic words, and literal
+semigroup membership.
 """
 
 from __future__ import annotations
@@ -166,6 +167,52 @@ def cyclic_word_feasible(length: int, span: int, conditions: tuple[int, ...]) ->
             if closes(windows[int(ti)], s):
                 return True
     return False
+
+
+def least_cyclic_word(
+    length: int, span: int, conditions: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Lexicographically least cyclic word of a given length and span, or None.
+
+    Searches color words over 0..span by backtracking, colors ascending,
+    one recursion level per letter.  Offsets that wrap onto their own
+    position rule the length out up front.
+    """
+
+    if length <= 0 or span < 0:
+        raise ValueError("length must be positive and span nonnegative")
+    for t, need in enumerate(conditions, start=1):
+        if need >= 1 and t % length == 0:
+            return None
+
+    r = len(conditions)
+    word = [0] * length
+
+    def fits(s: int, c: int) -> bool:
+        # a pair is checked once the later of its endpoints gets a color;
+        # both cyclic partners of s at each offset cover that exactly
+        for t in range(1, r + 1):
+            need = conditions[t - 1]
+            if need == 0:
+                continue
+            for e in ((s - t) % length, (s + t) % length):
+                if e < s and abs(word[e] - c) < need:
+                    return False
+        return True
+
+    def search(s: int) -> bool:
+        if s == length:
+            return True
+        for c in range(span + 1):
+            if fits(s, c):
+                word[s] = c
+                if search(s + 1):
+                    return True
+        return False
+
+    if not search(0):
+        return None
+    return tuple(word)
 
 
 def semigroup_members(m: int, n: int, limit: int) -> set[int]:

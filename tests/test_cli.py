@@ -282,6 +282,12 @@ def test_pattern_search_found(tmp_path, capsys):
     assert doc["witness"] == [0, 2, 4, 1, 3] and doc["holds"] is True
 
 
+def test_pattern_search_long_word(capsys):
+    code, text, _ = run("pattern", "--length", "1500", "--span", "4", capsys=capsys)
+    assert code == 0
+    assert text.split() == ["0", "2", "4"] * 500
+
+
 def test_pattern_search_none_is_exit_1(capsys):
     code, text, _ = run(
         "pattern", "--length", "4", "--product", "strong", "--span", "6",

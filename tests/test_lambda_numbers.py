@@ -5,6 +5,7 @@ import pytest
 
 from lpqcycles import lambda_numbers
 from lpqcycles import (
+    BudgetExhausted,
     CertificateKind,
     Labeling,
     ProductKind,
@@ -266,6 +267,23 @@ def test_warm_dispatch_builds_no_window_grid(monkeypatch):
     monkeypatch.setattr(lambda_numbers, "grid", no_grid)
     assert (lambda_strong(96, 100).lo, lambda_strong(96, 100).hi) == (7, 8)
     assert lambda_cartesian(41, 43).value == 5
+
+
+def test_caches_stand_in_only_for_the_same_budget():
+    verify_lemma_strong_local()
+    lambda_strong(96, 100)
+    tight = SolveBudget(max_nodes=10)
+    with pytest.raises(BudgetExhausted):
+        verify_lemma_strong_local(budget=tight)
+    with pytest.raises(BudgetExhausted):
+        lambda_strong(96, 100, budget=tight)
+
+
+def test_strong_word_search_of_length_1000():
+    # the span-6 word search behind the lower bound runs on a word as long
+    # as gcd(m, n)
+    res = lambda_strong(1000, 2000)
+    assert (res.lo, res.hi, res.certificate) == (7, 7, CertificateKind.CONSTRUCTED)
 
 
 def test_strong_range_gate_and_solve():

@@ -16,7 +16,7 @@ from lpqcycles import (
     validate,
     validate_pattern,
 )
-from oracles import cyclic_word_feasible, semigroup_members
+from oracles import cyclic_word_feasible, least_cyclic_word, semigroup_members
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -241,6 +241,35 @@ def test_exists_cycle_pattern_agrees_with_feasibility_oracle(length, span):
     if got is not None:
         assert validate_pattern(got) == []
         assert got.span <= span
+
+
+def _same_word(length, span, conds):
+    got = exists_cycle_pattern(length, span, conds)
+    assert (None if got is None else got.colors) == least_cyclic_word(length, span, conds), (
+        length, span, conds,
+    )
+
+
+@pytest.mark.parametrize(
+    "conds",
+    [(2, 1), (2, 2, 1, 1), (1,), (0, 1), (3, 0, 1), (1, 2), (2, 2), (1, 1, 1), (2, 0, 0, 1)],
+)
+def test_exists_cycle_pattern_matches_reference_backtracker(conds):
+    for length in range(1, 14):
+        for span in range(7):
+            _same_word(length, span, conds)
+
+
+@pytest.mark.parametrize("conds,spans", [((2, 1), (3, 4, 5)), ((2, 2, 1, 1), (5, 6, 7))])
+def test_exists_cycle_pattern_matches_reference_backtracker_long(conds, spans):
+    # larger spans make the reference blow up on odd lengths
+    for length in range(1, 81):
+        for span in spans:
+            _same_word(length, span, conds)
+
+
+def test_exists_cycle_pattern_long_word_needs_no_recursion():
+    assert exists_cycle_pattern(1200, 6, (2, 2, 1, 1)) is None
 
 
 def test_exists_cycle_pattern_guards():

@@ -65,12 +65,10 @@ def test_enumeration_is_lexicographic_and_first_equals_exists():
         seen = collect(g, k)
         assert seen == sorted(seen)
         w = exists_labeling(g, k)
-        w_plain = exists_labeling(g, k, break_symmetry=False)
         if seen:
             assert w.as_tuple() == seen[0]
-            assert w_plain.as_tuple() == seen[0]
         else:
-            assert w is None and w_plain is None
+            assert w is None
 
 
 def test_exists_witness_is_valid():
