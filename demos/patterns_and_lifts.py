@@ -11,13 +11,10 @@ mod L, which makes every anti-diagonal constant.
 from lpqcycles import (
     Pattern,
     ProductKind,
-    concatenated_strong_pattern,
     exists_cycle_pattern,
     is_diagonal,
-    l21_cycle_pattern,
     lift_diagonal,
     reduce_rows,
-    semigroup_decompose,
     torus,
     validate,
     validate_pattern,
@@ -26,9 +23,10 @@ from lpqcycles import (
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
 
-# every length d >= 3 carries a span-4 word for the cartesian gaps (2, 1)
+# every length d >= 3 carries a span-4 word for the cartesian gaps (2, 1);
+# the search returns the least one
 for d in (3, 7, 8):
-    print(f"length {d}:", l21_cycle_pattern(d).colors)
+    print(f"length {d}:", exists_cycle_pattern(d, 4, (2, 1)).colors)
 
 # the strong gaps (2, 2, 1, 1) are far more rigid: searching spans 6
 # finds words only at multiples of 7
@@ -37,15 +35,15 @@ for d in range(3, 15):
     if found is not None:
         print(f"span-6 word of length {d}:", found.colors)
 
-# at span 7 an 8-word appears, and the two blocks concatenate to cover
-# every length in the numerical semigroup generated by 7 and 8
-dec = semigroup_decompose(45, 7, 8)
-print(f"45 = {dec.a}*7 + {dec.b}*8")
-pat = concatenated_strong_pattern(45)
-print("length-45 word validates:", validate_pattern(pat) == [])
+# at span 7 other lengths open up; the dispatch lifts the least span-7
+# word of length gcd(m, n) on strong tori with gcd(m, n) >= 42
+pat = exists_cycle_pattern(45, 7, (2, 2, 1, 1))
+print("least span-7 word of length 45:", pat.colors)
+print("it validates:", validate_pattern(pat) == [])
 
 # lifting shows the word as constant anti-diagonals
-f = lift_diagonal(l21_cycle_pattern(3), CART, 3, 6)
+word3 = exists_cycle_pattern(3, 4, (2, 1))
+f = lift_diagonal(word3, CART, 3, 6)
 print("lifted grid:")
 print(f.color_grid())
 print("diagonal:", is_diagonal(f), " violations:", validate(torus(CART, 3, 6), f))
@@ -56,7 +54,7 @@ print("bad word violations:", len(validate_pattern(bad)))
 print("bad lift violations:", len(validate(torus(CART, 3, 6), lift_diagonal(bad, CART, 3, 6))))
 
 # a tall diagonal labeling loses its top rows and stays valid
-tall = lift_diagonal(l21_cycle_pattern(3), CART, 12, 3)
+tall = lift_diagonal(word3, CART, 12, 3)
 short = reduce_rows(tall)
 print("reduced", tall.shape.rows, "rows to", short.shape.rows, "- still valid:",
       validate(torus(CART, short.shape.rows, 3), short) == [])

@@ -17,11 +17,12 @@ import json
 import sys
 from math import gcd
 
-from .graphs import ProductKind
+from .graphs import ProductKind, oriented_cycle
 from .labelings import (
     Labeling,
+    _load_document,
+    _parse_labeling,
     labeling_document,
-    read_labeling,
     torus_violations,
     validate,
     write_labeling,
@@ -111,10 +112,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as fp:
-        g, f, params = read_labeling(fp)
-    bad = validate(g, f, params)
+        f, params = _parse_labeling(_load_document(fp))
+    if f.shape is None:
+        bad = validate(oriented_cycle(f.n_vertices), f, params)
+    else:
+        bad = torus_violations(f.shape.kind, f.color_grid(), params)
     if not bad:
-        print(f"valid: {g.n_vertices} vertices, budget {f.k_budget}, no violations")
+        print(f"valid: {f.n_vertices} vertices, budget {f.k_budget}, no violations")
         return 0
     for v in bad:
         u, w = v.pair

@@ -303,8 +303,9 @@ def labeling_document(
     return doc
 
 
-def labeling_from_document(doc: dict) -> tuple[Digraph, Labeling, ConstraintParams]:
-    """Rebuild (graph, labeling, params) from a labeling document."""
+def _parse_labeling(doc: dict) -> tuple[Labeling, ConstraintParams]:
+    """(labeling, params) of a checked document; a torus labeling carries
+    its shape, all that validate reads of the torus, so no graph is built."""
     try:
         prod = doc["product"]
         m, n, p, q, k = (doc[key] for key in ("m", "n", "p", "q", "k"))
@@ -328,15 +329,29 @@ def labeling_from_document(doc: dict) -> tuple[Digraph, Labeling, ConstraintPara
     if prod == "none":
         if m != 1:
             raise ValueError('product "none" stores a single cycle as one row (m = 1)')
-        g = oriented_cycle(n)
-        f = Labeling(flat, k)
-    elif prod in (ProductKind.CARTESIAN.value, ProductKind.STRONG.value):
-        kind = ProductKind(prod)
-        g = product(kind, oriented_cycle(m), oriented_cycle(n))
-        f = Labeling(flat, k, ProductShape(kind, m, n, cyclic=True))
-    else:
+        return Labeling(flat, k), params
+    if prod not in (ProductKind.CARTESIAN.value, ProductKind.STRONG.value):
         raise ValueError(f"unknown product kind {prod!r}")
-    return g, f, params
+    return Labeling(flat, k, ProductShape(ProductKind(prod), m, n, cyclic=True)), params
+
+
+def _load_document(fp: IO[str]) -> dict:
+    try:
+        doc = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a JSON labeling document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("labeling document must be a JSON object")
+    return doc
+
+
+def labeling_from_document(doc: dict) -> tuple[Digraph, Labeling, ConstraintParams]:
+    """Rebuild (graph, labeling, params) from a labeling document."""
+    f, params = _parse_labeling(doc)
+    if f.shape is None:
+        return oriented_cycle(f.n_vertices), f, params
+    m, n = f.shape.rows, f.shape.cols
+    return product(f.shape.kind, oriented_cycle(m), oriented_cycle(n)), f, params
 
 
 def write_labeling(fp: IO[str], f: Labeling, params: ConstraintParams = DEFAULT_PARAMS,
@@ -346,10 +361,4 @@ def write_labeling(fp: IO[str], f: Labeling, params: ConstraintParams = DEFAULT_
 
 
 def read_labeling(fp: IO[str]) -> tuple[Digraph, Labeling, ConstraintParams]:
-    try:
-        doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON labeling document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("labeling document must be a JSON object")
-    return labeling_from_document(doc)
+    return labeling_from_document(_load_document(fp))

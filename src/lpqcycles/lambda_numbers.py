@@ -9,39 +9,33 @@ The dichotomies implemented here:
   * Strong product, m, n >= 48: the span is 6 when 7 divides both m and n,
     7 when it does not but gcd(m, n) >= 42, and lies in {7, 8} otherwise.
 
-Every lower bound asserted here is reduced to finite checks this module
-runs itself: exhaustive enumeration of small path-grid labelings (whose
-universal identities force torus labelings to be diagonal) and exhaustive
-search for cyclic patterns of length gcd(m, n).  The paper's row-reduction
-descent is kept as descent_terminal; it preserves gcd(m, n), so it adds
-nothing to the word search and no certificate uses it.  Smaller instances
-fall outside the dichotomies; an explicit solve flag hands them to the
-exact solver instead.
+Both halves rest on one search for words of length gcd(m, n).  A witness
+lifts the least word at the window span (4 Cartesian, 6 strong), or above
+a per-kind gcd floor at the window span + 1, validated on the full torus.
+A lower bound above the window span pairs that search's failure with
+exhaustive enumeration of small path-grid labelings, whose identities
+force every window-span torus labeling to lift such a word.  The paper's
+descent (descent_terminal) preserves gcd(m, n), so no certificate needs
+it.  An explicit solve flag hands smaller instances to the exact solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import gcd
 
 from .graphs import Digraph, ProductKind, grid, torus
-from .labelings import Labeling, torus_violations
-from .patterns import (
-    Pattern,
-    concatenated_strong_pattern,
-    conditions_for,
-    exists_cycle_pattern,
-    l21_cycle_pattern,
-    lift_diagonal,
-)
+from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
+from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
 from .solver import (
     DEFAULT_BUDGET,
     LambdaWitness,
     SolveBudget,
-    count_labelings,
+    _limits,
+    _search,
     exact_lambda,
-    exists_labeling,
 )
 
 class CertificateKind(Enum):
@@ -143,11 +137,13 @@ _lemma_cache: dict[tuple[ProductKind, int, SolveBudget], CheckReport] = {}
 _subgraph_cache: dict[tuple[ProductKind, SolveBudget], LambdaWitness] = {}
 
 # per product kind: the side floor of the dichotomy, the window span at
-# which the local identity holds (also the span of the window grid), and
-# the upper bound cited when no lift exists
+# which the local identity holds (also the span of the window grid), the
+# upper bound cited when no lift exists, and the least gcd(m, n) from which
+# a word at the window span + 1 is lifted (never binding for Cartesian: no
+# word of length <= 2 exists at any span)
 _DICHOTOMY = {
-    ProductKind.CARTESIAN: (40, 4, 5),
-    ProductKind.STRONG: (48, 6, 8),
+    ProductKind.CARTESIAN: (40, 4, 5, 1),
+    ProductKind.STRONG: (48, 6, 8, 42),
 }
 
 
@@ -175,11 +171,14 @@ def _verify_local(
     if workers == 1 and key in _lemma_cache:
         return _lemma_cache[key]
     g, u, v = _local_identity(kind)
-    total = count_labelings(g, k, budget=budget, workers=workers)
-    bad = count_labelings(g, k, extra_pairs=[(u, v, 1)], budget=budget, workers=workers)
+    # both counts and the counterexample search spend one budget
+    limits = _limits(budget)
+    differ = [(u, v, 1)]
+    _w, total = _search(g, k, DEFAULT_PARAMS, limits, workers=workers)
+    _w, bad = _search(g, k, DEFAULT_PARAMS, limits, differ, workers=workers)
     witness = None
     if bad:
-        witness = exists_labeling(g, k, budget=budget, extra_pairs=[(u, v, 1)])
+        witness, _count = _search(g, k, DEFAULT_PARAMS, limits, differ, first=True)
         if witness is None:
             raise RuntimeError("counterexample count is positive but none was found")
     name = f"{kind.value}-local-diagonality-span-{k}"
@@ -245,21 +244,26 @@ def _subgraph_floor(kind: ProductKind, budget: SolveBudget) -> LambdaWitness:
     return _subgraph_cache[key]
 
 
+@cache
+def _least_word(kind: ProductKind, length: int, span: int) -> Pattern | None:
+    return exists_cycle_pattern(length, span, conditions_for(kind))
+
+
 def construction(kind: ProductKind, m: int, n: int) -> Pattern | None:
     """The base word whose diagonal lift certifies the span of C_m x C_n,
     or None when the dichotomy lifts none.
 
-    Cartesian: the (2, 1) word of length gcd(m, n) when gcd(m, n) >= 3.
-    Strong: the block 0246135 when 7 divides m and n, else the 7/8 block
-    concatenation of length gcd(m, n) when gcd(m, n) >= 42.
+    The word has length d = gcd(m, n).  It is the least word at the window
+    span (4 Cartesian, 6 strong); failing that, and only when d reaches the
+    kind's lift floor (42 strong), the least word at the window span + 1.
     """
 
+    _side, span, _cited, lift_floor = _DICHOTOMY[kind]
     d = gcd(m, n)
-    if kind is ProductKind.CARTESIAN:
-        return l21_cycle_pattern(d) if d >= 3 else None
-    if m % 7 == 0 and n % 7 == 0:
-        return concatenated_strong_pattern(7)
-    return concatenated_strong_pattern(d) if d >= 42 else None
+    word = _least_word(kind, d, span)
+    if word is None and d >= lift_floor:
+        word = _least_word(kind, d, span + 1)
+    return word
 
 
 def _checked_lift(pat: Pattern, kind: ProductKind, m: int, n: int, budget_k: int) -> Labeling:
@@ -272,26 +276,10 @@ def _checked_lift(pat: Pattern, kind: ProductKind, m: int, n: int, budget_k: int
     return f
 
 
-def _no_diagonal_span(kind: ProductKind, span: int, m: int, n: int) -> None:
-    """Assert no span-`span` diagonal labeling of the m x n torus exists.
-
-    A diagonal labeling is constant on anti-diagonal orbits, which the
-    value (i + j) mod gcd(m, n) indexes exactly, so it is the lift of a
-    pattern of length gcd(m, n); the exhaustive pattern search must come
-    up empty.
-    """
-
-    d = gcd(m, n)
-    if exists_cycle_pattern(d, span, conditions_for(kind)) is not None:
-        raise RuntimeError(
-            f"a span-{span} pattern of length {d} exists; the claimed lower bound is wrong"
-        )
-
-
 def _dichotomy(
     kind: ProductKind, m: int, n: int, solve: bool, budget: SolveBudget
 ) -> LambdaResult:
-    side, span, cited = _DICHOTOMY[kind]
+    side, span, cited, _lift_floor = _DICHOTOMY[kind]
     if m < 3 or n < 3:
         raise ValueError("cycle sizes must be at least 3")
     if m < side or n < side:
@@ -317,15 +305,12 @@ def _dichotomy(
         window = floor.witness.shape
         lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
     else:
-        lemma_fn = (
-            verify_lemma_cartesian_local
-            if kind is ProductKind.CARTESIAN
-            else verify_lemma_strong_local
-        )
-        lemma = lemma_fn(budget=budget)
+        lemma = _verify_local(kind, span, 1, budget)
         if not lemma.holds:
             raise RuntimeError("local diagonality identity failed; dichotomy unsound")
-        _no_diagonal_span(kind, span, m, n)
+        # every span-`span` labeling is diagonal, so it lifts a word of
+        # length gcd(m, n); construction's failed search at that span is
+        # the "no such word" half of this bound
         lo, lower = span + 1, (
             f"lower bound {span + 1} verified: every span-{span} labeling is diagonal "
             f"({lemma.count} grid labelings checked) and no length-{gcd(m, n)} "
@@ -352,11 +337,11 @@ def lambda_cartesian(
 ) -> LambdaResult:
     """Exact span of C_m x C_n under the Cartesian product, for m, n >= 40.
 
-    gcd(m, n) >= 3 gives 4 with a validated lifted witness; otherwise the
-    span is 5: the upper bound is cited, and the lower bound is verified
-    here by the local diagonality identity and the absence of a short
-    pattern.  Below the stated range the dichotomy is not asserted;
-    solve=True computes the value exactly.
+    gcd(m, n) >= 3 gives 4: the least span-4 word of length gcd(m, n) lifts
+    to a validated witness.  Otherwise the span is 5: the upper bound is
+    cited, and the lower bound is verified here by the local diagonality
+    identity and the failed span-4 word search.  Below the stated range the
+    dichotomy is not asserted; solve=True computes the value exactly.
     """
 
     return _dichotomy(ProductKind.CARTESIAN, m, n, solve, budget)
@@ -367,12 +352,12 @@ def lambda_strong(
 ) -> LambdaResult:
     """Span of C_m x C_n under the strong product, for m, n >= 48.
 
-    7 | m and 7 | n gives exactly 6 via the lifted block 0246135; otherwise
-    the span is at least 7 (verified: span-6 labelings are forced diagonal
-    and only lengths divisible by 7 carry span-6 patterns).  gcd(m, n) >= 42
-    gives exactly 7 via a lifted block concatenation; the remaining cases
-    are pinned to {7, 8} with the upper bound cited.  solve=True computes
-    small instances exactly.
+    7 | m and 7 | n gives exactly 6 via the lift of the least span-6 word of
+    length gcd(m, n); otherwise the span is at least 7 (verified: span-6
+    labelings are forced diagonal and the span-6 word search fails).
+    gcd(m, n) >= 42 gives exactly 7 via the lift of the least span-7 word;
+    the remaining cases are pinned to {7, 8} with the upper bound cited.
+    solve=True computes small instances exactly.
     """
 
     return _dichotomy(ProductKind.STRONG, m, n, solve, budget)

@@ -98,28 +98,6 @@ def canonical_rotation(colors: tuple[int, ...]) -> tuple[int, ...]:
     return min(tuple(colors[(s + i) % L] for i in range(L)) for s in range(L))
 
 
-def l21_cycle_pattern(d: int) -> Pattern:
-    """Span-4 pattern of length d for conditions (2, 1), built from blocks.
-
-    Lengths split by residue mod 3: 024 repeated, with a trailing 0314 or
-    13 fixing the other residues.  Every d >= 3 is covered; d = 1, 2 admit
-    no span-4 pattern at all (offset 2 wraps onto offset 0 or 1).
-    """
-
-    if d < 3:
-        raise ValueError(f"no (2, 1) pattern of length {d} exists")
-    if d % 3 == 0:
-        word = (0, 2, 4) * (d // 3)
-    elif d % 3 == 1:
-        word = (0, 2, 4) * ((d - 4) // 3) + (0, 3, 1, 4)
-    else:
-        word = (0, 2, 4) * ((d - 2) // 3) + (1, 3)
-    pat = Pattern(word, (2, 1))
-    if validate_pattern(pat):
-        raise RuntimeError(f"block construction for length {d} produced an invalid pattern")
-    return pat
-
-
 @dataclass(frozen=True)
 class SemigroupDecomposition:
     """target = a * m + b * n with a, b >= 0 and minimal b."""
@@ -147,28 +125,6 @@ def semigroup_decompose(target: int, m: int, n: int) -> SemigroupDecomposition |
         if rest % m == 0:
             return SemigroupDecomposition(target, m, n, rest // m, b)
     return None
-
-
-_STRONG_BLOCK_7 = (0, 2, 4, 6, 1, 3, 5)
-_STRONG_BLOCK_8 = (0, 2, 4, 6, 1, 3, 5, 7)
-
-
-def concatenated_strong_pattern(length: int) -> Pattern:
-    """Pattern of the given length for conditions (2, 2, 1, 1), if one exists.
-
-    Concatenates copies of the span-6 block 0246135 and the span-7 block
-    02461357, so the length must decompose as 7a + 8b; the span is 6 when
-    b = 0 and 7 otherwise.  The result is re-validated before returning.
-    """
-
-    dec = semigroup_decompose(length, 7, 8)
-    if dec is None:
-        raise ValueError(f"length {length} is not a sum of 7s and 8s")
-    word = _STRONG_BLOCK_7 * dec.a + _STRONG_BLOCK_8 * dec.b
-    pat = Pattern(word, (2, 2, 1, 1))
-    if validate_pattern(pat):
-        raise RuntimeError(f"block concatenation for length {length} produced an invalid pattern")
-    return pat
 
 
 def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeling:

@@ -4,8 +4,8 @@ Everything here re-derives constraints from a graph's raw out-edge lists
 with numpy and shares no logic with the package's own constraint builder
 or search engine: a brute-force assignment filter, a row-transfer DP for
 the 4 x 4 strong grid, a window-transfer feasibility check for cyclic
-patterns, a recursive backtracker for least cyclic words, and literal
-semigroup membership.
+patterns, a recursive backtracker for least cyclic words, literal
+semigroup membership, and the paper's hand-built block words.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 import numpy as np
+
+from lpqcycles import Pattern, semigroup_decompose, validate_pattern
 
 
 def pair_gaps(g, p: int = 2, q: int = 1) -> dict[tuple[int, int], int]:
@@ -224,3 +226,47 @@ def semigroup_members(m: int, n: int, limit: int) -> set[int]:
             if 0 < t <= limit:
                 out.add(t)
     return out
+
+
+def l21_cycle_pattern(d: int) -> Pattern:
+    """Span-4 pattern of length d for conditions (2, 1), built from blocks.
+
+    Lengths split by residue mod 3: 024 repeated, with a trailing 0314 or
+    13 fixing the other residues.  Every d >= 3 is covered; d = 1, 2 admit
+    no span-4 pattern at all (offset 2 wraps onto offset 0 or 1).
+    """
+
+    if d < 3:
+        raise ValueError(f"no (2, 1) pattern of length {d} exists")
+    if d % 3 == 0:
+        word = (0, 2, 4) * (d // 3)
+    elif d % 3 == 1:
+        word = (0, 2, 4) * ((d - 4) // 3) + (0, 3, 1, 4)
+    else:
+        word = (0, 2, 4) * ((d - 2) // 3) + (1, 3)
+    pat = Pattern(word, (2, 1))
+    if validate_pattern(pat):
+        raise RuntimeError(f"block construction for length {d} produced an invalid pattern")
+    return pat
+
+
+_STRONG_BLOCK_7 = (0, 2, 4, 6, 1, 3, 5)
+_STRONG_BLOCK_8 = (0, 2, 4, 6, 1, 3, 5, 7)
+
+
+def concatenated_strong_pattern(length: int) -> Pattern:
+    """Pattern of the given length for conditions (2, 2, 1, 1), if one exists.
+
+    Concatenates copies of the span-6 block 0246135 and the span-7 block
+    02461357, so the length must decompose as 7a + 8b; the span is 6 when
+    b = 0 and 7 otherwise.  The result is re-validated before returning.
+    """
+
+    dec = semigroup_decompose(length, 7, 8)
+    if dec is None:
+        raise ValueError(f"length {length} is not a sum of 7s and 8s")
+    word = _STRONG_BLOCK_7 * dec.a + _STRONG_BLOCK_8 * dec.b
+    pat = Pattern(word, (2, 2, 1, 1))
+    if validate_pattern(pat):
+        raise RuntimeError(f"block concatenation for length {length} produced an invalid pattern")
+    return pat

@@ -18,14 +18,12 @@ from lpqcycles import (
     Pattern,
     ProductKind,
     complement,
-    concatenated_strong_pattern,
     conditions_for,
     enumerate_labelings,
     exact_lambda,
     exists_cycle_pattern,
     grid,
     is_diagonal,
-    l21_cycle_pattern,
     lift_diagonal,
     oriented_cycle,
     oriented_path,
@@ -40,8 +38,10 @@ from lpqcycles import (
 )
 from oracles import (
     brute_rows,
+    concatenated_strong_pattern,
     cyclic_word_feasible,
     dp_count_strong_grid4,
+    l21_cycle_pattern,
     semigroup_members,
 )
 from test_patterns import equivalence_pool

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from lpqcycles import CertificateKind, lambda_cartesian, lambda_strong
+from lpqcycles import CertificateKind, labelings, lambda_cartesian, lambda_strong
 from lpqcycles.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv, capsys):
@@ -97,6 +101,12 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
+    # the window lemma's two counts fit 6,000 nodes each but not together
+    code, _, err = run(
+        "lemmas", "--which", "strong-local", "--budget-nodes", "6000", capsys=capsys,
+    )
+    assert code == 3
+    assert "budget exhausted" in err
 
 
 # --- construct ---------------------------------------------------------------
@@ -127,7 +137,8 @@ def test_construct_roundtrip_through_verify(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["pattern"] == [0, 2, 4, 6, 1, 3, 5]
+    # the base word has length gcd(m, n)
+    assert doc["pattern"] == [0, 2, 4, 6, 1, 3, 5] * 7
     code, text, _ = run("verify", str(out), capsys=capsys)
     assert code == 0 and "no violations" in text
 
@@ -207,6 +218,33 @@ def test_verify_flags_each_violation(tmp_path, capsys):
     assert code == 1
     assert "invalid:" in text
     assert "need gap >=" in text
+
+
+def test_verify_builds_no_torus_graph(tmp_path, capsys, monkeypatch):
+    doc, bad = tmp_path / "c.json", tmp_path / "bad.json"
+    code, _, _ = run(
+        "construct", "--product", "strong", "--m", "56", "--n", "49",
+        "--out", str(doc), capsys=capsys,
+    )
+    assert code == 0
+    body = json.loads(doc.read_text())
+    body["labels"][3][5] = body["labels"][3][6]
+    bad.write_text(json.dumps(body))
+    before = [run("verify", str(p), capsys=capsys)[:2] for p in (doc, bad)]
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("verify built the torus graph")
+
+    monkeypatch.setattr(labelings, "product", no_graph)
+    after = [run("verify", str(p), capsys=capsys)[:2] for p in (doc, bad)]
+    assert after == before
+    assert after[0] == (0, "valid: 2744 vertices, budget 6, no violations\n")
+    assert after[1] == (1, (
+        "edge-gap: vertices 102 and 152 have colors 5 and 4, need gap >= 2\n"
+        "edge-gap: vertices 152 and 153 have colors 4 and 4, need gap >= 2\n"
+        "edge-gap: vertices 152 and 201 have colors 4 and 4, need gap >= 2\n"
+        "invalid: 3 violated constraints\n"
+    ))
 
 
 def test_verify_missing_file(capsys):
@@ -351,6 +389,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_module_entry_point_runs_in_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lpqcycles", "descent", "--m", "41", "--n", "40"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=60,

@@ -15,7 +15,6 @@ from lpqcycles import (
     constraint_pairs,
     grid,
     is_diagonal,
-    l21_cycle_pattern,
     labeling_document,
     labeling_from_document,
     lift_diagonal,
@@ -28,7 +27,7 @@ from lpqcycles import (
     validate,
     write_labeling,
 )
-from oracles import pair_gaps
+from oracles import l21_cycle_pattern, pair_gaps
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG

@@ -11,12 +11,14 @@ from lpqcycles import (
     ProductKind,
     SolveBudget,
     TerminalKind,
+    count_labelings,
     descent_terminal,
     enumerate_labelings,
     grid,
     is_diagonal,
     lambda_cartesian,
     lambda_strong,
+    lift_diagonal,
     torus,
     torus_violations,
     validate,
@@ -25,7 +27,13 @@ from lpqcycles import (
     verify_lemma_cartesian_local,
     verify_lemma_strong_local,
 )
-from oracles import brute_rows, cyclic_word_feasible, dp_count_strong_grid4
+from oracles import (
+    brute_rows,
+    concatenated_strong_pattern,
+    cyclic_word_feasible,
+    dp_count_strong_grid4,
+    l21_cycle_pattern,
+)
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -71,6 +79,17 @@ def test_reports_invariant_under_parallelism():
     seq = verify_lemma_strong_local()
     par = verify_lemma_strong_local(workers=2)
     assert (seq.holds, seq.count) == (par.holds, par.count)
+
+
+def test_window_lemma_spends_one_budget():
+    # each count fits 6,000 nodes alone (5,987 and 4,131), not both together
+    g = grid(STRONG, 4, 4)
+    tight = SolveBudget(max_nodes=6000)
+    assert count_labelings(g, 6, budget=tight) == 180
+    u, v = g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
+    assert count_labelings(g, 6, extra_pairs=[(u, v, 1)], budget=tight) == 0
+    with pytest.raises(BudgetExhausted):
+        verify_lemma_strong_local(budget=tight)
 
 
 def test_report_document_shape():
@@ -284,6 +303,54 @@ def test_strong_word_search_of_length_1000():
     # as gcd(m, n)
     res = lambda_strong(1000, 2000)
     assert (res.lo, res.hi, res.certificate) == (7, 7, CertificateKind.CONSTRUCTED)
+
+
+def test_construction_lifts_the_paper_block_words():
+    # the least window-span word is the paper's block word wherever the
+    # paper lifts one, so Cartesian and 7 | both witnesses keep their labels
+    for d in range(3, 241):
+        assert lambda_numbers.construction(CART, d, d) == l21_cycle_pattern(d)
+    for d in range(7, 241, 7):
+        word = lambda_numbers.construction(STRONG, d, d)
+        assert word.colors == (0, 2, 4, 6, 1, 3, 5) * (d // 7)
+    # above the strong lift floor the least span-7 word takes over from the
+    # 7/8 block concatenation; both lift to valid labelings
+    for d in range(42, 241):
+        if d % 7:
+            for word in (lambda_numbers.construction(STRONG, d, d),
+                         concatenated_strong_pattern(d)):
+                assert word.length == d and word.span == 7
+                f = lift_diagonal(word, STRONG, d, d)
+                assert torus_violations(STRONG, f.color_grid()) == []
+
+
+def _table(kind, m, n):
+    """(lo, hi, certificate) from the README's divisibility table."""
+    d = gcd(m, n)
+    if kind is CART and d >= 3:
+        return 4, 4, CertificateKind.CONSTRUCTED
+    if kind is CART:
+        return 5, 5, CertificateKind.CITED_UPPER_VERIFIED_LOWER
+    if m % 7 == 0 and n % 7 == 0:
+        return 6, 6, CertificateKind.CONSTRUCTED
+    if d >= 42:
+        return 7, 7, CertificateKind.CONSTRUCTED
+    return 7, 8, CertificateKind.INTERVAL_CITED
+
+
+@pytest.mark.parametrize(
+    "kind,fn,side",
+    [(CART, lambda_cartesian, 40), (STRONG, lambda_strong, 48)],
+    ids=["cartesian", "strong"],
+)
+def test_answers_follow_the_table_up_to_side_100(kind, fn, side):
+    for m in range(side, 101):
+        for n in range(side, 101):
+            res = fn(m, n)
+            assert (res.lo, res.hi, res.certificate) == _table(kind, m, n), (m, n)
+            if res.witness is not None:
+                assert res.witness.k_budget == res.lo
+                assert torus_violations(kind, res.witness.color_grid()) == []
 
 
 def test_strong_range_gate_and_solve():

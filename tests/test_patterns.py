@@ -5,18 +5,22 @@ from lpqcycles import (
     Pattern,
     ProductKind,
     canonical_rotation,
-    concatenated_strong_pattern,
     conditions_for,
     exists_cycle_pattern,
     is_diagonal,
-    l21_cycle_pattern,
     lift_diagonal,
     semigroup_decompose,
     torus,
     validate,
     validate_pattern,
 )
-from oracles import cyclic_word_feasible, least_cyclic_word, semigroup_members
+from oracles import (
+    concatenated_strong_pattern,
+    cyclic_word_feasible,
+    l21_cycle_pattern,
+    least_cyclic_word,
+    semigroup_members,
+)
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -75,7 +79,7 @@ def test_pattern_guards():
         Pattern((0, 2), ())
 
 
-# --- block constructions -----------------------------------------------------
+# --- the paper's block words (reference copies in oracles) -------------------
 
 @pytest.mark.parametrize("d", range(3, 61))
 def test_l21_blocks_valid_for_every_length(d):
