@@ -26,6 +26,7 @@ from enum import Enum
 from functools import cache
 from math import gcd
 
+from . import solver
 from .graphs import Digraph, ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
@@ -173,12 +174,14 @@ def _verify_local(
     g, u, v = _local_identity(kind)
     # both counts and the counterexample search spend one budget
     limits = _limits(budget)
-    differ = [(u, v, 1)]
-    _w, total = _search(g, k, DEFAULT_PARAMS, limits, workers=workers)
-    _w, bad = _search(g, k, DEFAULT_PARAMS, limits, differ, workers=workers)
+    # compiled through the module, where bench/spans.py times the call
+    plain = solver.compile_constraints(g, DEFAULT_PARAMS)
+    differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
+    _w, total = _search(plain, k, limits, workers=workers)
+    _w, bad = _search(differ, k, limits, workers=workers)
     witness = None
     if bad:
-        witness, _count = _search(g, k, DEFAULT_PARAMS, limits, differ, first=True)
+        witness, _count = _search(differ, k, limits, first=True)
         if witness is None:
             raise RuntimeError("counterexample count is positive but none was found")
     name = f"{kind.value}-local-diagonality-span-{k}"

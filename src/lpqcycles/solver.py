@@ -8,6 +8,14 @@ search nodes (one node per attempted color assignment); exhausting the
 budget raises BudgetExhausted, a third outcome distinct from "no labeling".
 A budget limits a whole public call: every span exact_lambda tries and
 every worker of a parallel count draw on the same nodes and deadline.
+
+A witness search on a graph whose constrained pairs translations preserve
+(tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
+shifting a labeling down to least color 0 keeps every gap, and translating
+a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
+tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
+The pair -> gap map and the translation check are compiled once per public
+call; only the forbid tables are rebuilt for each span.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph
+from .graphs import Digraph, ProductShape
 from .labelings import ConstraintParams, DEFAULT_PARAMS, Labeling, constraint_pairs
 
 
@@ -68,16 +76,31 @@ def _forbid_table(gap: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _Constraints:
+    """One graph's constraints, compiled once per public call.
+
+    pairs lists every constrained (u, v, gap) with u < v and gap > 0, in
+    sorted order; transitive says that translations keep every pair and
+    its gap and move every vertex onto vertex 0 (see _transitive).
+    """
+
+    n_vertices: int
+    shape: ProductShape | None
+    pairs: tuple[tuple[int, int, int], ...]
+    transitive: bool
+
+
 def compile_constraints(
     g: Digraph,
     params: ConstraintParams,
-    k: int,
     extra_pairs: Iterable[tuple[int, int, int]] = (),
-) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Forward adjacency: fwd[u] lists (v, forbid_table) for constrained v > u.
+) -> _Constraints:
+    """The pair -> gap map of g and whether translations preserve it.
 
     extra_pairs adds (u, v, gap) constraints on top of the graph's own,
-    merged by taking the larger gap.
+    merged by taking the larger gap.  The per-span forbid tables are built
+    from the result by _forward.
     """
 
     gaps: dict[tuple[int, int], int] = {
@@ -88,12 +111,49 @@ def compile_constraints(
             raise ValueError(f"bad extra pair ({u}, {v})")
         key = (u, v) if u < v else (v, u)
         gaps[key] = max(gap, gaps.get(key, 0))
+    gaps = {pair: gap for pair, gap in gaps.items() if gap > 0}
+    pairs = tuple((u, v, gap) for (u, v), gap in sorted(gaps.items()))
+    return _Constraints(g.n_vertices, g.shape, pairs, _transitive(gaps, g.n_vertices, g.shape))
+
+
+def _transitive(
+    gaps: dict[tuple[int, int], int], n: int, shape: ProductShape | None
+) -> bool:
+    """Whether the row and the column shift keep every pair and its gap.
+
+    The ids are read row-major as a torus: the shape's, when it claims one
+    of n cells, else a single row of n, whose column shift is the rotation
+    v -> v + 1 mod n.  The two shifts move every vertex onto vertex 0, and
+    a shift that sends each pair to a pair of the same gap permutes the
+    pairs, so one lookup per pair and shift decides invariance whatever
+    the shape claims.
+    """
+
+    cols = n
+    if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
+        cols = shape.cols
+
+    def row_shift(v: int) -> int:
+        return (v + cols) % n
+
+    def col_shift(v: int) -> int:
+        return v - v % cols + (v + 1) % cols
+
+    for (u, v), gap in gaps.items():
+        for shift in (row_shift, col_shift):
+            a, b = shift(u), shift(v)
+            if gaps.get((a, b) if a < b else (b, a)) != gap:
+                return False
+    return True
+
+
+def _forward(cons: _Constraints, k: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Forward adjacency at span k: fwd[u] lists (v, forbid_table) for the
+    constrained v > u."""
 
     tables: dict[int, tuple[int, ...]] = {}
-    fwd: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.n_vertices)]
-    for (u, v), gap in sorted(gaps.items()):
-        if gap <= 0:
-            continue
+    fwd: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(cons.n_vertices)]
+    for u, v, gap in cons.pairs:
         if gap not in tables:
             tables[gap] = _forbid_table(gap, k)
         fwd[u].append((v, tables[gap]))
@@ -192,11 +252,9 @@ def _run(
 
 
 def _search(
-    g: Digraph,
+    cons: _Constraints,
     k: int,
-    params: ConstraintParams,
     limits: _Limits,
-    extra_pairs: Iterable[tuple[int, int, int]] = (),
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
     workers: int = 1,
@@ -204,33 +262,38 @@ def _search(
     """The one search behind every public entry point.
 
     With first the search stops at the least witness, and the first vertex
-    only tries colors up to floor(k/2): the map c -> k - c carries a witness
-    starting above that to a smaller one, so the least witness starts there.
-    Otherwise it counts every labeling, showing each to visitor.  With
-    workers > 1 the first vertex's colors are dealt round-robin over a
-    process pool, and the parts merge into the least witness, the summed
-    count and the summed nodes.  Nodes are summed before the budget check,
-    so exhaustion does not depend on workers.  Returns (least witness or
-    None, count) and charges the nodes spent to limits.
+    tries only the colors the least witness can start with.  When
+    cons.transitive holds (tori, cyclic words, oriented cycles) that is 0
+    alone: shifting a labeling down to least color 0 keeps every gap, and
+    a translation carries a vertex of color 0 onto vertex 0.  Otherwise it
+    is colors up to floor(k/2): the map c -> k - c carries a witness
+    starting above that to a smaller one.  Without first the search counts
+    every labeling, showing each to visitor.  With workers > 1 the first
+    vertex's colors are dealt round-robin over a process pool, and the
+    parts merge into the least witness, the summed count and the summed
+    nodes.  Nodes are summed before the budget check, so exhaustion does
+    not depend on workers.  Returns (least witness or None, count) and
+    charges the nodes spent to limits.
     """
 
     if k < 0:
         raise ValueError("k must be nonnegative")
     if workers < 1:
         raise ValueError("workers must be positive")
-    fwd = compile_constraints(g, params, k, extra_pairs)
+    fwd = _forward(cons, k)
+    top = (0 if cons.transitive else k // 2) if first else k
     masks = [0] * workers
-    for c in range((k // 2 if first else k) + 1):
+    for c in range(top + 1):
         masks[c % workers] |= 1 << c
     masks = [mask for mask in masks if mask]
     spent = limits.spent
     run_limits = (limits.max_nodes, limits.deadline, spent)
     if len(masks) == 1:
-        parts = [_run(g.n_vertices, fwd, k, masks[0], first, *run_limits, visitor)]
+        parts = [_run(cons.n_vertices, fwd, k, masks[0], first, *run_limits, visitor)]
     else:
         with ProcessPoolExecutor(max_workers=len(masks)) as pool:
             futures = [
-                pool.submit(_run, g.n_vertices, fwd, k, mask, first, *run_limits)
+                pool.submit(_run, cons.n_vertices, fwd, k, mask, first, *run_limits)
                 for mask in masks
             ]
             parts = [future.result() for future in futures]
@@ -243,7 +306,7 @@ def _search(
     count = sum(count for _w, count, _nodes in parts)
     if witness is None:
         return None, count
-    return Labeling(np.array(witness, dtype=np.int64), k, g.shape), count
+    return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count
 
 
 def exists_labeling(
@@ -255,15 +318,19 @@ def exists_labeling(
 ) -> Labeling | None:
     """Lexicographically least k-L(p,q)-labeling of g, or None.
 
-    The first vertex only tries colors up to floor(k/2), which cannot skip
-    the least witness: the map c -> k - c keeps every separation
-    |f(u) - f(v)| >= gap, extra pairs included, and carries a witness
-    starting above floor(k/2) to a smaller one.  extra_pairs works as in
-    count_labelings; the cyclic word search (patterns.exists_cycle_pattern)
-    is such a call on an edgeless graph.
+    The first vertex only tries colors the least witness can start with.
+    Where translations keep every constrained pair (tori, cyclic words,
+    oriented cycles) that is 0 alone: shift a labeling down to least color
+    0, then translate a vertex of color 0 onto vertex 0.  Elsewhere it is
+    colors up to floor(k/2), since c -> k - c keeps every separation,
+    extra pairs included.  extra_pairs works as in count_labelings; the
+    cyclic word search (patterns.exists_cycle_pattern) is such a call on
+    an edgeless graph.
     """
 
-    witness, _count = _search(g, k, params, _limits(budget), extra_pairs, first=True)
+    limits = _limits(budget)
+    cons = compile_constraints(g, params, extra_pairs)
+    witness, _count = _search(cons, k, limits, first=True)
     return witness
 
 
@@ -276,8 +343,9 @@ def exact_lambda(
     """Smallest k admitting a k-L(p,q)-labeling of g, with its least witness.
 
     Tries k = 0, 1, 2, ... as exists_labeling does, all under one budget:
-    the nodes and time spent on every span count against it.  Every graph
-    is satisfiable at (n - 1) * max(p, q), which bounds the scan; a k_max
+    the nodes and time spent on every span count against it.  The
+    constraints are compiled once for the whole scan.  Every graph is
+    satisfiable at (n - 1) * max(p, q), which bounds the scan; a k_max
     below the true value raises RuntimeError rather than returning a wrong
     answer.
     """
@@ -286,8 +354,9 @@ def exact_lambda(
     if k_max is None:
         k_max = ceiling
     limits = _limits(budget)
+    cons = compile_constraints(g, params)
     for k in range(min(k_max, ceiling) + 1):
-        f, _count = _search(g, k, params, limits, first=True)
+        f, _count = _search(cons, k, limits, first=True)
         if f is not None:
             return LambdaWitness(k, f)
     raise RuntimeError(f"no labeling with span <= {k_max}; k_max is too small")
@@ -306,7 +375,8 @@ def enumerate_labelings(
     the optional visitor sees every color tuple exactly once, in order.
     """
 
-    _witness, count = _search(g, k, params, _limits(budget), visitor=visitor)
+    limits = _limits(budget)
+    _witness, count = _search(compile_constraints(g, params), k, limits, visitor=visitor)
     return count
 
 
@@ -328,5 +398,7 @@ def count_labelings(
     result and whether the budget runs out are independent of worker count.
     """
 
-    _witness, count = _search(g, k, params, _limits(budget), extra_pairs, workers=workers)
+    limits = _limits(budget)
+    cons = compile_constraints(g, params, extra_pairs)
+    _witness, count = _search(cons, k, limits, workers=workers)
     return count

@@ -264,9 +264,13 @@ def test_exists_cycle_pattern_matches_reference_backtracker(conds):
             _same_word(length, span, conds)
 
 
-@pytest.mark.parametrize("conds,spans", [((2, 1), (3, 4, 5)), ((2, 2, 1, 1), (5, 6, 7))])
+@pytest.mark.parametrize(
+    "conds,spans", [((2, 1), (3, 4, 5, 6, 7)), ((2, 2, 1, 1), (4, 5, 6, 7))]
+)
 def test_exists_cycle_pattern_matches_reference_backtracker_long(conds, spans):
-    # larger spans make the reference blow up on odd lengths
+    # the solver lets position 0 try color 0 only (words are rotation
+    # invariant), the reference tries every color; larger (2, 2, 1, 1)
+    # spans make the reference blow up on odd lengths
     for length in range(1, 81):
         for span in spans:
             _same_word(length, span, conds)
