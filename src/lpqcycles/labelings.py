@@ -314,8 +314,11 @@ def _parse_labeling(doc: dict) -> tuple[Labeling, ConstraintParams]:
         raise ValueError(f"labeling document missing key {exc}") from None
     # exact JSON integers only: bool is an int subclass, and int() would
     # silently truncate floats and parse strings
-    if any(type(x) is not int for x in (m, n, p, q, k)):
+    fields = (m, n, p, q, k)
+    if any(type(x) is not int for x in fields):
         raise ValueError("m, n, p, q and k must be integers")
+    if any(not -(2**63) <= x < 2**63 for x in fields):
+        raise ValueError("m, n, p, q and k must fit in a signed 64-bit integer")
     params = ConstraintParams(p, q)
     if not isinstance(labels, list) or len(labels) != m:
         raise ValueError(f"labels must be a list of {m} rows")
@@ -324,7 +327,10 @@ def _parse_labeling(doc: dict) -> tuple[Labeling, ConstraintParams]:
     colors = [c for row in labels for c in row]
     if any(type(c) is not int for c in colors):
         raise ValueError("every label must be an integer")
-    flat = np.array(colors, dtype=np.int64)
+    try:
+        flat = np.array(colors, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("every label must fit in a signed 64-bit integer") from None
 
     if prod == "none":
         if m != 1:

@@ -252,31 +252,31 @@ def _least_word(kind: ProductKind, length: int, span: int) -> Pattern | None:
     return exists_cycle_pattern(length, span, conditions_for(kind))
 
 
-def construction(kind: ProductKind, m: int, n: int) -> Pattern | None:
-    """The base word whose diagonal lift certifies the span of C_m x C_n,
-    or None when the dichotomy lifts none.
+def construction(kind: ProductKind, m: int, n: int) -> tuple[Pattern, Labeling] | None:
+    """The base word and its diagonal lift that certify the span of
+    C_m x C_n, or None when the dichotomy lifts none.
 
     The word has length d = gcd(m, n).  It is the least word at the window
     span (4 Cartesian, 6 strong); failing that, and only when d reaches the
     kind's lift floor (42 strong), the least word at the window span + 1.
+    The lift is validated on the full torus; a failure raises RuntimeError.
+    The dispatch and CLI construct both hand out this lift.
     """
 
+    if m < 3 or n < 3:
+        raise ValueError("cycle sizes must be at least 3")
     _side, span, _cited, lift_floor = _DICHOTOMY[kind]
     d = gcd(m, n)
     word = _least_word(kind, d, span)
     if word is None and d >= lift_floor:
         word = _least_word(kind, d, span + 1)
-    return word
-
-
-def _checked_lift(pat: Pattern, kind: ProductKind, m: int, n: int, budget_k: int) -> Labeling:
-    f = lift_diagonal(pat, kind, m, n)
-    if f.k_budget > budget_k:
-        raise RuntimeError(f"construction uses span {f.k_budget}, expected <= {budget_k}")
+    if word is None:
+        return None
+    f = lift_diagonal(word, kind, m, n)
     bad = torus_violations(kind, f.color_grid())
     if bad:
         raise RuntimeError(f"constructed lift fails validation: {bad[0]}")
-    return f
+    return word, f
 
 
 def _dichotomy(
@@ -303,8 +303,8 @@ def _dichotomy(
     floor = _subgraph_floor(kind, budget)
     if floor.value != span:
         raise RuntimeError(f"grid floor is {floor.value}, expected {span}")
-    pat = construction(kind, m, n)
-    if pat is not None and pat.span <= span:
+    _word, f = construction(kind, m, n) or (None, None)
+    if f is not None and f.k_budget <= span:
         window = floor.witness.shape
         lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
     else:
@@ -319,7 +319,7 @@ def _dichotomy(
             f"({lemma.count} grid labelings checked) and no length-{gcd(m, n)} "
             "pattern exists"
         )
-    if pat is None:
+    if f is None:
         certificate = (
             CertificateKind.CITED_UPPER_VERIFIED_LOWER
             if lo == cited
@@ -330,8 +330,8 @@ def _dichotomy(
         lo,
         lo,
         CertificateKind.CONSTRUCTED,
-        _checked_lift(pat, kind, m, n, lo),
-        f"lift of the length-{pat.length} pattern; lift validated on the full torus; {lower}",
+        f,
+        f"lift of the length-{gcd(m, n)} pattern; lift validated on the full torus; {lower}",
     )
 
 

@@ -113,14 +113,15 @@ def semigroup_decompose(target: int, m: int, n: int) -> SemigroupDecomposition |
     """Write target as a*m + b*n, a, b >= 0 not both zero, minimizing b.
 
     Returns None when target is not in the numerical semigroup generated
-    by m and n.
+    by m and n.  The least b is below m (b - m leaves the same residue), so
+    at most m values of b are tried.
     """
 
     if m <= 0 or n <= 0:
         raise ValueError("generators must be positive")
     if target <= 0:
         return None
-    for b in range(target // n + 1):
+    for b in range(min(target // n, m - 1) + 1):
         rest = target - b * n
         if rest % m == 0:
             return SemigroupDecomposition(target, m, n, rest // m, b)

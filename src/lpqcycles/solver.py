@@ -196,6 +196,8 @@ def _run(
     dom = [full] * n_v
     colors = [0] * n_v
     cand = [0] * n_v
+    # mark[pos] is the trail length when pos was entered; every color try
+    # starts by undoing the propagation of the try before it
     mark = [0] * n_v
     trail_v: list[int] = []
     trail_m: list[int] = []
@@ -203,13 +205,13 @@ def _run(
     pos = 0
     cand[0] = cand0
     while True:
+        t = mark[pos]
+        while len(trail_v) > t:
+            dom[trail_v.pop()] = trail_m.pop()
         if cand[pos] == 0:
             pos -= 1
             if pos < 0:
                 return None, count, nodes
-            t = mark[pos]
-            while len(trail_v) > t:
-                dom[trail_v.pop()] = trail_m.pop()
             continue
         m = cand[pos]
         c = (m & -m).bit_length() - 1
@@ -220,7 +222,6 @@ def _run(
         if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetExhausted("time cap exceeded", nodes)
         colors[pos] = c
-        mark[pos] = len(trail_v)
         ok = True
         for v, forbid in fwd[pos]:
             old = dom[v]
@@ -233,9 +234,6 @@ def _run(
                     ok = False
                     break
         if not ok:
-            t = mark[pos]
-            while len(trail_v) > t:
-                dom[trail_v.pop()] = trail_m.pop()
             continue
         if pos + 1 == n_v:
             if first:
@@ -243,11 +241,9 @@ def _run(
             count += 1
             if visitor is not None:
                 visitor(tuple(colors))
-            t = mark[pos]
-            while len(trail_v) > t:
-                dom[trail_v.pop()] = trail_m.pop()
             continue
         pos += 1
+        mark[pos] = len(trail_v)
         cand[pos] = dom[pos]
 
 

@@ -187,7 +187,9 @@ def test_construct_builds_exactly_the_constructed_certificates(capsys, product, 
     )
     if res.certificate is CertificateKind.CONSTRUCTED:
         assert code == 0
-        assert json.loads(text)["k"] == res.value == res.witness.k_budget
+        doc = json.loads(text)
+        assert doc["k"] == res.value == res.witness.k_budget
+        assert doc["labels"] == res.witness.color_grid().tolist()
     else:
         assert code == 2 and text == ""
         assert f"no lifted construction: gcd({m}, {n}) = {gcd(m, n)}" in err
@@ -267,6 +269,11 @@ def test_verify_malformed_document(tmp_path, capsys):
         ("labels", [[0.9, 2.5, 4.2, 1.7, 3.1]]),
         ("labels", [[True, 3, 0, 2, 4]]),
         ("m", 1.7),
+        # integers beyond the signed 64-bit range are refused, not overflowed
+        ("labels", [[10**23, 2, 4, 1, 3]]),
+        ("labels", [[2**63, 2, 4, 1, 3]]),
+        ("p", 10**23),
+        ("k", -(2**63) - 1),
     ]:
         f.write_text(json.dumps({**doc, key: value}))
         code, _, err = run("verify", str(f), capsys=capsys)

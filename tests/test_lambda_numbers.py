@@ -27,6 +27,7 @@ from lpqcycles import (
     verify_lemma_cartesian_local,
     verify_lemma_strong_local,
 )
+from lpqcycles.cli import main
 from oracles import (
     brute_rows,
     concatenated_strong_pattern,
@@ -309,19 +310,35 @@ def test_construction_lifts_the_paper_block_words():
     # the least window-span word is the paper's block word wherever the
     # paper lifts one, so Cartesian and 7 | both witnesses keep their labels
     for d in range(3, 241):
-        assert lambda_numbers.construction(CART, d, d) == l21_cycle_pattern(d)
+        assert lambda_numbers.construction(CART, d, d)[0] == l21_cycle_pattern(d)
     for d in range(7, 241, 7):
-        word = lambda_numbers.construction(STRONG, d, d)
+        word, _f = lambda_numbers.construction(STRONG, d, d)
         assert word.colors == (0, 2, 4, 6, 1, 3, 5) * (d // 7)
     # above the strong lift floor the least span-7 word takes over from the
     # 7/8 block concatenation; both lift to valid labelings
     for d in range(42, 241):
         if d % 7:
-            for word in (lambda_numbers.construction(STRONG, d, d),
+            for word in (lambda_numbers.construction(STRONG, d, d)[0],
                          concatenated_strong_pattern(d)):
                 assert word.length == d and word.span == 7
                 f = lift_diagonal(word, STRONG, d, d)
                 assert torus_violations(STRONG, f.color_grid()) == []
+
+
+def test_broken_lift_raises_in_dispatch_and_construct(monkeypatch):
+    # the dispatch and CLI construct share one lift and one validation, so
+    # a lift that breaks one cell fails both instead of being handed out
+    def broken_lift(*args):
+        f = lift_diagonal(*args)
+        colors = f.colors.copy()
+        colors[1] = colors[0]
+        return Labeling(colors, f.k_budget, f.shape)
+
+    monkeypatch.setattr(lambda_numbers, "lift_diagonal", broken_lift)
+    with pytest.raises(RuntimeError, match="constructed lift fails validation"):
+        lambda_strong(49, 49)
+    with pytest.raises(RuntimeError, match="constructed lift fails validation"):
+        main(["construct", "--product", "strong", "--m", "49", "--n", "49"])
 
 
 def _table(kind, m, n):

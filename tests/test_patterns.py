@@ -118,11 +118,14 @@ def test_semigroup_decompose_examples():
     assert semigroup_decompose(39, 5, 11) is None
     assert semigroup_decompose(42, 7, 8).b == 0
     assert semigroup_decompose(0, 7, 8) is None
+    # generators sharing a factor the target lacks: at most m values of b
+    # are tried, so this returns at once
+    assert semigroup_decompose(10**12 + 1, 2, 4) is None
     with pytest.raises(ValueError):
         semigroup_decompose(10, 0, 8)
 
 
-@pytest.mark.parametrize("m,n", [(7, 8), (5, 11), (3, 5)])
+@pytest.mark.parametrize("m,n", [(7, 8), (5, 11), (3, 5), (2, 4), (6, 9), (9, 6)])
 def test_semigroup_decompose_matches_brute_membership(m, n):
     members = semigroup_members(m, n, 200)
     for t in range(1, 201):
