@@ -197,7 +197,8 @@ def _run(
     colors = [0] * n_v
     cand = [0] * n_v
     # mark[pos] is the trail length when pos was entered; every color try
-    # starts by undoing the propagation of the try before it
+    # starts by undoing whatever was propagated since, which covers the try
+    # before it and any positions above it that were backtracked out of
     mark = [0] * n_v
     trail_v: list[int] = []
     trail_m: list[int] = []
@@ -205,15 +206,15 @@ def _run(
     pos = 0
     cand[0] = cand0
     while True:
-        t = mark[pos]
-        while len(trail_v) > t:
-            dom[trail_v.pop()] = trail_m.pop()
-        if cand[pos] == 0:
+        m = cand[pos]
+        if m == 0:
             pos -= 1
             if pos < 0:
                 return None, count, nodes
             continue
-        m = cand[pos]
+        t = mark[pos]
+        while len(trail_v) > t:
+            dom[trail_v.pop()] = trail_m.pop()
         c = (m & -m).bit_length() - 1
         cand[pos] = m & (m - 1)
         nodes += 1
