@@ -344,7 +344,7 @@ def _parse_labeling(doc: dict) -> tuple[Labeling, ConstraintParams]:
 def _load_document(fp: IO[str]) -> dict:
     try:
         doc = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not a JSON labeling document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("labeling document must be a JSON object")

@@ -9,14 +9,16 @@ The dichotomies implemented here:
   * Strong product, m, n >= 48: the span is 6 when 7 divides both m and n,
     7 when it does not but gcd(m, n) >= 42, and lies in {7, 8} otherwise.
 
-Both halves rest on one search for words of length gcd(m, n).  A witness
-lifts the least word at the window span (4 Cartesian, 6 strong), or above
-a per-kind gcd floor at the window span + 1, validated on the full torus.
-A lower bound above the window span pairs that search's failure with
-exhaustive enumeration of small path-grid labelings, whose identities
-force every window-span torus labeling to lift such a word.  The paper's
-descent (descent_terminal) preserves gcd(m, n), so no certificate needs
-it.  An explicit solve flag hands smaller instances to the exact solver.
+Both halves rest on one search for words of length gcd(m, n) and on one
+exhaustive check of a small path grid, the window (3 x 3 Cartesian, 4 x 4
+strong).  A witness lifts the least word at the window span (4 Cartesian,
+6 strong), or above a per-kind gcd floor at the window span + 1, validated
+on the full torus.  The window has no labeling at span - 1, which floors
+every torus at the window span; a lower bound above it pairs the word
+search's failure with the window identity, which forces every window-span
+torus labeling to lift such a word.  The paper's descent
+(descent_terminal) preserves gcd(m, n), so no certificate needs it.  An
+explicit solve flag hands smaller instances to the exact solver.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from . import solver
 from .graphs import Digraph, ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
-from .solver import (
-    DEFAULT_BUDGET,
-    LambdaWitness,
-    SolveBudget,
-    _limits,
-    _search,
-    exact_lambda,
-)
+from .solver import DEFAULT_BUDGET, SolveBudget, _limits, _search, exact_lambda
 
 class CertificateKind(Enum):
     CONSTRUCTED = "constructed"
@@ -131,12 +126,6 @@ def descent_terminal(m: int, n: int) -> DescentTerminal:
     return DescentTerminal(big, small, kind, tuple(trace))
 
 
-# cached per process: these enumerations back every dichotomy dispatch.
-# The budget is part of the key, so a cached answer never stands in for a
-# call whose own budget would run out.
-_lemma_cache: dict[tuple[ProductKind, int, SolveBudget], CheckReport] = {}
-_subgraph_cache: dict[tuple[ProductKind, SolveBudget], LambdaWitness] = {}
-
 # per product kind: the side floor of the dichotomy, the window span at
 # which the local identity holds (also the span of the window grid), the
 # upper bound cited when no lift exists, and the least gcd(m, n) from which
@@ -148,6 +137,7 @@ _DICHOTOMY = {
 }
 
 
+@cache
 def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
     """The path grid and identity vertex pair for a product kind.
 
@@ -164,13 +154,14 @@ def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
     return g, g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
 
 
+# cached per process: these enumerations back every dichotomy dispatch.
+# The budget is part of the key, so a cached answer never stands in for a
+# call whose own budget would run out.
+@cache
 def _verify_local(
     kind: ProductKind, span: int | None, workers: int, budget: SolveBudget
 ) -> CheckReport:
     k = _DICHOTOMY[kind][1] if span is None else span
-    key = (kind, k, budget)
-    if workers == 1 and key in _lemma_cache:
-        return _lemma_cache[key]
     g, u, v = _local_identity(kind)
     # both counts and the counterexample search spend one budget
     limits = _limits(budget)
@@ -185,10 +176,7 @@ def _verify_local(
         if witness is None:
             raise RuntimeError("counterexample count is positive but none was found")
     name = f"{kind.value}-local-diagonality-span-{k}"
-    report = CheckReport(name, bad == 0, total, witness)
-    if workers == 1:
-        _lemma_cache[key] = report
-    return report
+    return CheckReport(name, bad == 0, total, witness)
 
 
 def verify_lemma_cartesian_local(
@@ -231,20 +219,6 @@ def verify_l2211_periodicity(d_max: int) -> dict[int, Pattern]:
         if pat is not None:
             out[d] = pat
     return out
-
-
-def _subgraph_floor(kind: ProductKind, budget: SolveBudget) -> LambdaWitness:
-    """Exact span of the small path grid; a floor for every large torus.
-
-    A torus labeling restricted to a window is a valid grid labeling (the
-    window only loses constraints), so the grid's span bounds the torus
-    span from below.
-    """
-
-    key = (kind, budget)
-    if key not in _subgraph_cache:
-        _subgraph_cache[key] = exact_lambda(_local_identity(kind)[0], budget=budget)
-    return _subgraph_cache[key]
 
 
 @cache
@@ -300,12 +274,13 @@ def _dichotomy(
             f"exact solver: exhausted span {res.value - 1}, witness at {res.value}",
         )
 
-    floor = _subgraph_floor(kind, budget)
-    if floor.value != span:
-        raise RuntimeError(f"grid floor is {floor.value}, expected {span}")
+    # a torus labeling restricts to a labeling of every window, so a window
+    # with no labeling at span - 1 puts the torus span at span or above
+    if _verify_local(kind, span - 1, 1, budget).count:
+        raise RuntimeError(f"grid floor below {span}: the window has span-{span - 1} labelings")
     _word, f = construction(kind, m, n) or (None, None)
     if f is not None and f.k_budget <= span:
-        window = floor.witness.shape
+        window = _local_identity(kind)[0].shape
         lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
     else:
         lemma = _verify_local(kind, span, 1, budget)

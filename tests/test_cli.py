@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from lpqcycles import CertificateKind, labelings, lambda_cartesian, lambda_strong
+from lpqcycles import (
+    CertificateKind,
+    labelings,
+    lambda_cartesian,
+    lambda_numbers,
+    lambda_strong,
+)
 from lpqcycles.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -249,6 +255,19 @@ def test_verify_builds_no_torus_graph(tmp_path, capsys, monkeypatch):
     ))
 
 
+def test_torus_too_large_for_memory_is_exit_2(capsys, monkeypatch):
+    # a lift of a huge torus fails to allocate; the CLI reports it and exits 2
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 671. GiB")
+
+    monkeypatch.setattr(lambda_numbers, "lift_diagonal", no_memory)
+    for command in ("lambda", "construct"):
+        code, text, err = run(command, "--product", "cartesian", "--m", "300000",
+                              "--n", "300003", capsys=capsys)
+        assert (code, text) == (2, "")
+        assert err == "error: Unable to allocate 671. GiB\n"
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run("verify", "/nonexistent/x.json", capsys=capsys)
     assert code == 2 and err.startswith("error:")
@@ -278,6 +297,11 @@ def test_verify_malformed_document(tmp_path, capsys):
         f.write_text(json.dumps({**doc, key: value}))
         code, _, err = run("verify", str(f), capsys=capsys)
         assert code == 2 and err.startswith("error:"), (key, value)
+    # documents nested past the parser's recursion limit are refused too
+    for text in ["[" * 1000 + "]" * 1000, '{"a": ' * 1000 + "0" + "}" * 1000]:
+        f.write_text(text)
+        code, _, err = run("verify", str(f), capsys=capsys)
+        assert code == 2 and err.startswith("error:"), text[:8]
 
 
 # --- lemmas ------------------------------------------------------------------
@@ -310,6 +334,8 @@ def test_lemmas_counterexample_is_exit_1(tmp_path, capsys):
 
 
 def test_lemmas_parallel_same_counts(capsys):
+    # reports are cached per worker count too; start cold so the pool runs
+    lambda_numbers._verify_local.cache_clear()
     code, text, _ = run(
         "lemmas", "--which", "cartesian-local", "--parallel", "2", capsys=capsys
     )

@@ -74,6 +74,8 @@ def test_strong_local_fails_at_span_7():
 
 
 def test_reports_invariant_under_parallelism():
+    # reports are cached per worker count too; start cold so the pool runs
+    lambda_numbers._verify_local.cache_clear()
     seq = verify_lemma_cartesian_local()
     par = verify_lemma_cartesian_local(workers=3)
     assert (seq.holds, seq.count) == (par.holds, par.count)
@@ -279,6 +281,7 @@ def test_strong_lift_above_two_million_cells_is_validated_in_full():
 
 def test_warm_dispatch_builds_no_window_grid(monkeypatch):
     lambda_strong(96, 100)
+    lambda_strong(49, 56)
     lambda_cartesian(41, 43)
 
     def no_grid(*args, **kwargs):
@@ -287,6 +290,51 @@ def test_warm_dispatch_builds_no_window_grid(monkeypatch):
     monkeypatch.setattr(lambda_numbers, "grid", no_grid)
     assert (lambda_strong(96, 100).lo, lambda_strong(96, 100).hi) == (7, 8)
     assert lambda_cartesian(41, 43).value == 5
+    assert lambda_strong(49, 56).note.endswith("lower bound 6 from the 4 x 4 grid")
+
+
+@pytest.mark.parametrize("fn, m, n, lo, hi, certificate, note", [
+    (lambda_cartesian, 40, 45, 4, 4, CertificateKind.CONSTRUCTED,
+     "lift of the length-5 pattern; lift validated on the full torus; "
+     "lower bound 4 from the 3 x 3 grid"),
+    (lambda_cartesian, 41, 40, 5, 5, CertificateKind.CITED_UPPER_VERIFIED_LOWER,
+     "upper bound 5 cited; lower bound 5 verified: every span-4 labeling is "
+     "diagonal (44 grid labelings checked) and no length-1 pattern exists"),
+    (lambda_strong, 49, 56, 6, 6, CertificateKind.CONSTRUCTED,
+     "lift of the length-7 pattern; lift validated on the full torus; "
+     "lower bound 6 from the 4 x 4 grid"),
+    (lambda_strong, 90, 135, 7, 7, CertificateKind.CONSTRUCTED,
+     "lift of the length-45 pattern; lift validated on the full torus; "
+     "lower bound 7 verified: every span-6 labeling is diagonal "
+     "(180 grid labelings checked) and no length-45 pattern exists"),
+    (lambda_strong, 48, 50, 7, 8, CertificateKind.INTERVAL_CITED,
+     "upper bound 8 cited; lower bound 7 verified: every span-6 labeling is "
+     "diagonal (180 grid labelings checked) and no length-2 pattern exists"),
+])
+def test_dispatch_notes_are_pinned(fn, m, n, lo, hi, certificate, note):
+    res = fn(m, n)
+    assert (res.lo, res.hi, res.certificate) == (lo, hi, certificate)
+    assert res.note == note
+
+
+def test_window_floor_runs_no_exact_solver(monkeypatch):
+    # the grid floor is the window check at span - 1, not a solver scan
+    def no_solver(*args, **kwargs):
+        raise AssertionError("exact_lambda called above the floors")
+
+    lambda_numbers._verify_local.cache_clear()
+    monkeypatch.setattr(lambda_numbers, "exact_lambda", no_solver)
+    assert lambda_strong(49, 56).value == 6
+    assert lambda_cartesian(40, 45).value == 4
+
+
+def test_window_floor_refuses_a_window_span_it_cannot_floor(monkeypatch):
+    # at a claimed window span of 7 the floor check runs at span 6, where
+    # the strong 4 x 4 window has 180 labelings
+    side, _span, cited, lift_floor = lambda_numbers._DICHOTOMY[STRONG]
+    monkeypatch.setitem(lambda_numbers._DICHOTOMY, STRONG, (side, 7, cited, lift_floor))
+    with pytest.raises(RuntimeError, match="grid floor below 7"):
+        lambda_strong(49, 56)
 
 
 def test_caches_stand_in_only_for_the_same_budget():
