@@ -154,15 +154,9 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
                 feasible.append(d)
         print("feasible lengths:", " ".join(map(str, feasible)) if feasible else "none")
         if args.out:
-            _write_doc(
-                args.out,
-                {
-                    "check": f"pattern-span-{span}-feasible-lengths",
-                    "holds": bool(feasible),
-                    "count": len(feasible),
-                    "witness": feasible,
-                },
-            )
+            check = f"pattern-span-{span}-feasible-lengths"
+            report = CheckReport(check, bool(feasible), len(feasible), feasible)
+            _write_doc(args.out, report.to_document())
         return 0
 
     if args.length is None:
@@ -173,15 +167,8 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
         return 1
     print(" ".join(map(str, pat.colors)))
     if args.out:
-        _write_doc(
-            args.out,
-            {
-                "check": f"pattern-length-{args.length}-span-{span}",
-                "holds": True,
-                "count": 1,
-                "witness": list(pat.colors),
-            },
-        )
+        check = f"pattern-length-{args.length}-span-{span}"
+        _write_doc(args.out, CheckReport(check, True, 1, list(pat.colors)).to_document())
     return 0
 
 

@@ -79,27 +79,24 @@ class DescentTerminal:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification: what ran, whether it holds, and a
-    counterexample when it does not.  count is the number of labelings
-    enumerated."""
+    """Outcome of one check: what ran, whether it holds, what it counted
+    (window labelings, words found, or feasible lengths), and its witness:
+    a grid labeling, written as its rows, a flat list of ints, or None."""
 
     check: str
     holds: bool
     count: int
-    witness: Labeling | None
+    witness: Labeling | list[int] | None
 
     def to_document(self) -> dict:
-        if self.witness is None:
-            grid_rows = None
-        elif self.witness.shape is not None:
-            grid_rows = [[int(c) for c in row] for row in self.witness.color_grid()]
-        else:
-            grid_rows = [[int(c) for c in self.witness.colors]]
+        witness = self.witness
+        if isinstance(witness, Labeling):
+            witness = [[int(c) for c in row] for row in witness.color_grid()]
         return {
             "check": self.check,
             "holds": self.holds,
             "count": self.count,
-            "witness": grid_rows,
+            "witness": witness,
         }
 
 
@@ -156,26 +153,22 @@ def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
 
 # cached per process: these enumerations back every dichotomy dispatch.
 # The budget is part of the key, so a cached answer never stands in for a
-# call whose own budget would run out.
+# call whose own budget would run out.  The public wrappers resolve a
+# missing span first, so they share the dispatch's entries.
 @cache
 def _verify_local(
-    kind: ProductKind, span: int | None, workers: int, budget: SolveBudget
+    kind: ProductKind, span: int, workers: int, budget: SolveBudget
 ) -> CheckReport:
-    k = _DICHOTOMY[kind][1] if span is None else span
     g, u, v = _local_identity(kind)
-    # both counts and the counterexample search spend one budget
+    # both counts spend one budget; the second returns the least labeling
+    # that breaks the identity, the counterexample
     limits = _limits(budget)
     # compiled through the module, where bench/spans.py times the call
     plain = solver.compile_constraints(g, DEFAULT_PARAMS)
     differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
-    _w, total = _search(plain, k, limits, workers=workers)
-    _w, bad = _search(differ, k, limits, workers=workers)
-    witness = None
-    if bad:
-        witness, _count = _search(differ, k, limits, first=True)
-        if witness is None:
-            raise RuntimeError("counterexample count is positive but none was found")
-    name = f"{kind.value}-local-diagonality-span-{k}"
+    _w, total = _search(plain, span, limits, workers=workers)
+    witness, bad = _search(differ, span, limits, workers=workers)
+    name = f"{kind.value}-local-diagonality-span-{span}"
     return CheckReport(name, bad == 0, total, witness)
 
 
@@ -190,6 +183,7 @@ def verify_lemma_cartesian_local(
     hold (at 5 a counterexample exists and is returned).
     """
 
+    span = _DICHOTOMY[ProductKind.CARTESIAN][1] if span is None else span
     return _verify_local(ProductKind.CARTESIAN, span, workers, budget)
 
 
@@ -200,6 +194,7 @@ def verify_lemma_strong_local(
     satisfies f(1, 2) = f(2, 1), replacing a by-hand case split with
     exhaustive search.  See verify_lemma_cartesian_local."""
 
+    span = _DICHOTOMY[ProductKind.STRONG][1] if span is None else span
     return _verify_local(ProductKind.STRONG, span, workers, budget)
 
 

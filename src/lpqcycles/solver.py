@@ -202,6 +202,7 @@ def _run(
     mark = [0] * n_v
     trail_v: list[int] = []
     trail_m: list[int] = []
+    least = None
     count = 0
     pos = 0
     cand[0] = cand0
@@ -210,7 +211,7 @@ def _run(
         if m == 0:
             pos -= 1
             if pos < 0:
-                return None, count, nodes
+                return least, count, nodes
             continue
         t = mark[pos]
         while len(trail_v) > t:
@@ -239,6 +240,8 @@ def _run(
         if pos + 1 == n_v:
             if first:
                 return tuple(colors), count, nodes
+            if least is None:
+                least = tuple(colors)
             count += 1
             if visitor is not None:
                 visitor(tuple(colors))
@@ -265,11 +268,12 @@ def _search(
     a translation carries a vertex of color 0 onto vertex 0.  Otherwise it
     is colors up to floor(k/2): the map c -> k - c carries a witness
     starting above that to a smaller one.  Without first the search counts
-    every labeling, showing each to visitor.  With workers > 1 the first
-    vertex's colors are dealt round-robin over a process pool, and the
-    parts merge into the least witness, the summed count and the summed
-    nodes.  Nodes are summed before the budget check, so exhaustion does
-    not depend on workers.  Returns (least witness or None, count) and
+    every labeling, showing each to visitor, and keeps the first it meets,
+    which is the least.  With workers > 1 the first vertex's colors are
+    dealt round-robin over a process pool, and the parts merge into the
+    least witness, the summed count and the summed nodes.  Nodes are
+    summed before the budget check, so exhaustion does not depend on
+    workers.  Returns (least witness or None, count) in both modes and
     charges the nodes spent to limits.
     """
 

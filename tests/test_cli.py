@@ -377,6 +377,39 @@ def test_pattern_feasibility_scan(capsys):
     assert "feasible lengths: 7 14" in text
 
 
+@pytest.mark.parametrize(
+    "argv,text,doc",
+    [
+        pytest.param(
+            ["--product", "strong", "--span", "6", "--feasible-up-to", "16"],
+            "feasible lengths: 7 14\n",
+            [("check", "pattern-span-6-feasible-lengths"), ("holds", True),
+             ("count", 2), ("witness", [7, 14])],
+            id="scan-strong-span-6",
+        ),
+        pytest.param(
+            ["--product", "strong", "--span", "4", "--feasible-up-to", "10"],
+            "feasible lengths: none\n",
+            [("check", "pattern-span-4-feasible-lengths"), ("holds", False),
+             ("count", 0), ("witness", [])],
+            id="scan-strong-span-4",
+        ),
+        pytest.param(
+            ["--length", "13", "--product", "strong", "--span", "7"],
+            "0 2 4 6 1 3 7 0 4 6 1 3 5\n",
+            [("check", "pattern-length-13-span-7"), ("holds", True), ("count", 1),
+             ("witness", [0, 2, 4, 6, 1, 3, 7, 0, 4, 6, 1, 3, 5])],
+            id="word-strong-13-span-7",
+        ),
+    ],
+)
+def test_pattern_out_documents_are_pinned(tmp_path, capsys, argv, text, doc):
+    out = tmp_path / "p.json"
+    code, got, _ = run("pattern", *argv, "--out", str(out), capsys=capsys)
+    assert (code, got) == (0, text)
+    assert list(json.loads(out.read_text()).items()) == doc
+
+
 def test_pattern_explicit_conditions(capsys):
     code, text, _ = run(
         "pattern", "--conditions", "2,1", "--length", "3", capsys=capsys

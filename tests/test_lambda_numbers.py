@@ -14,6 +14,7 @@ from lpqcycles import (
     count_labelings,
     descent_terminal,
     enumerate_labelings,
+    exists_labeling,
     grid,
     is_diagonal,
     lambda_cartesian,
@@ -82,6 +83,27 @@ def test_reports_invariant_under_parallelism():
     seq = verify_lemma_strong_local()
     par = verify_lemma_strong_local(workers=2)
     assert (seq.holds, seq.count) == (par.holds, par.count)
+    # where the identity fails, the counterexample is the least labeling
+    # that breaks it, however the pool splits the count
+    for verify, kind, k in [
+        (verify_lemma_cartesian_local, CART, 5),
+        (verify_lemma_strong_local, STRONG, 7),
+    ]:
+        seq = verify(span=k)
+        par = verify(span=k, workers=2)
+        assert not seq.holds
+        assert (seq.holds, seq.count) == (par.holds, par.count)
+        g, u, v = lambda_numbers._local_identity(kind)
+        least = exists_labeling(g, k, extra_pairs=[(u, v, 1)]).as_tuple()
+        assert seq.witness.as_tuple() == par.witness.as_tuple() == least
+
+
+def test_public_window_check_shares_the_dispatch_cache_entry():
+    lambda_numbers._verify_local.cache_clear()
+    lambda_strong(48, 50)
+    misses = lambda_numbers._verify_local.cache_info().misses
+    assert verify_lemma_strong_local().count == 180
+    assert lambda_numbers._verify_local.cache_info().misses == misses
 
 
 def test_window_lemma_spends_one_budget():

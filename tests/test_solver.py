@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from lpqcycles import solver
 from lpqcycles import (
     BudgetExhausted,
     ConstraintParams,
@@ -306,6 +307,31 @@ def test_parallel_matches_sequential_on_strong_grid():
     g = grid(STRONG, 4, 4)
     assert count_labelings(g, 6, workers=3) == count_labelings(g, 6) == 180
     assert count_labelings(g, 6) == dp_count_strong_grid4(6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        pytest.param(grid(CART, 3, 3), 5, id="cartesian-grid-3x3-span-5"),
+        pytest.param(grid(STRONG, 4, 4), 7, id="strong-grid-4x4-span-7"),
+        pytest.param(torus(STRONG, 7, 7), 6, id="strong-torus-7x7-span-6"),
+    ],
+)
+def test_count_returns_the_least_labeling(g, k, workers):
+    # a count keeps the first labeling it meets, which enumeration order
+    # makes the least; the pool merges its parts' witnesses by min
+    seen = []
+
+    def keep_first(colors):
+        if not seen:
+            seen.append(colors)
+
+    count = enumerate_labelings(g, k, visitor=keep_first)
+    cons = solver.compile_constraints(g, ConstraintParams())
+    witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
+    assert got == count > 0
+    assert witness.as_tuple() == seen[0]
 
 
 def test_strong_grid_counts_against_dp_oracle():
