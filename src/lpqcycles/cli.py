@@ -82,7 +82,7 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    built = construction(ProductKind(args.product), args.m, args.n)
+    built = construction(ProductKind(args.product), args.m, args.n, _budget(args))
     if built is None:
         d = gcd(args.m, args.n)
         raise ValueError(f"no lifted construction: gcd({args.m}, {args.n}) = {d}")

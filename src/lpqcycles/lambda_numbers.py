@@ -216,12 +216,17 @@ def verify_l2211_periodicity(d_max: int) -> dict[int, Pattern]:
     return out
 
 
+# keyed by the budget, as _verify_local is
 @cache
-def _least_word(kind: ProductKind, length: int, span: int) -> Pattern | None:
-    return exists_cycle_pattern(length, span, conditions_for(kind))
+def _least_word(
+    kind: ProductKind, length: int, span: int, budget: SolveBudget
+) -> Pattern | None:
+    return exists_cycle_pattern(length, span, conditions_for(kind), budget)
 
 
-def construction(kind: ProductKind, m: int, n: int) -> tuple[Pattern, Labeling] | None:
+def construction(
+    kind: ProductKind, m: int, n: int, budget: SolveBudget = DEFAULT_BUDGET
+) -> tuple[Pattern, Labeling] | None:
     """The base word and its diagonal lift that certify the span of
     C_m x C_n, or None when the dichotomy lifts none.
 
@@ -229,16 +234,17 @@ def construction(kind: ProductKind, m: int, n: int) -> tuple[Pattern, Labeling] 
     span (4 Cartesian, 6 strong); failing that, and only when d reaches the
     kind's lift floor (42 strong), the least word at the window span + 1.
     The lift is validated on the full torus; a failure raises RuntimeError.
-    The dispatch and CLI construct both hand out this lift.
+    The dispatch and CLI construct both hand out this lift.  Each word
+    search runs under budget on its own; the searches do not share it.
     """
 
     if m < 3 or n < 3:
         raise ValueError("cycle sizes must be at least 3")
     _side, span, _cited, lift_floor = _DICHOTOMY[kind]
     d = gcd(m, n)
-    word = _least_word(kind, d, span)
+    word = _least_word(kind, d, span, budget)
     if word is None and d >= lift_floor:
-        word = _least_word(kind, d, span + 1)
+        word = _least_word(kind, d, span + 1, budget)
     if word is None:
         return None
     f = lift_diagonal(word, kind, m, n)
@@ -273,7 +279,7 @@ def _dichotomy(
     # with no labeling at span - 1 puts the torus span at span or above
     if _verify_local(kind, span - 1, 1, budget).count:
         raise RuntimeError(f"grid floor below {span}: the window has span-{span - 1} labelings")
-    _word, f = construction(kind, m, n) or (None, None)
+    _word, f = construction(kind, m, n, budget) or (None, None)
     if f is not None and f.k_budget <= span:
         window = _local_identity(kind)[0].shape
         lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .graphs import Digraph, ProductKind, ProductShape
 from .labelings import ConstraintParams, Labeling
-from .solver import exists_labeling
+from .solver import DEFAULT_BUDGET, SolveBudget, exists_labeling
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,18 @@ def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeli
 
 
 def exists_cycle_pattern(
-    length: int, span: int, conditions: tuple[int, ...]
+    length: int,
+    span: int,
+    conditions: tuple[int, ...],
+    budget: SolveBudget = DEFAULT_BUDGET,
 ) -> Pattern | None:
     """Lexicographically least pattern of a given length and span, or None.
 
     A word is a labeling of `length` unconnected vertices, so the search is
     one solver call: offset t at gap c_t becomes the pairs (s, s + t mod
     length) for every position s, a pair reached by several offsets keeps
-    the largest gap, and the solver returns its least witness under its
-    default budget.  Offsets that wrap onto their own position rule the
-    length out up front.
+    the largest gap, and the solver returns its least witness under budget.
+    Offsets that wrap onto their own position rule the length out up front.
     """
 
     if length <= 0 or span < 0:
@@ -169,7 +171,7 @@ def exists_cycle_pattern(
         for s in range(length)
     ]
     words = Digraph(length, ((),) * length)
-    f = exists_labeling(words, span, ConstraintParams(0, 0), extra_pairs=pairs)
+    f = exists_labeling(words, span, ConstraintParams(0, 0), budget, pairs)
     if f is None:
         return None
     pat = Pattern(f.as_tuple(), conditions)

@@ -1,11 +1,15 @@
 """Exact search for L(p,q)-labelings.
 
 The engine is a forward-checking backtracker over bitmask color domains.
-Vertices are assigned in id order and colors are tried in ascending order,
-so the first witness found is the lexicographically least one and full
-enumeration emits labelings in lexicographic order.  Work is metered in
-search nodes (one node per attempted color assignment); exhausting the
-budget raises BudgetExhausted, a third outcome distinct from "no labeling".
+Witness searches and enumeration with a visitor assign vertices in id
+order and try colors in ascending order, so the first witness found is the
+lexicographically least one and full enumeration emits labelings in
+lexicographic order.  Counts do not: they assign vertices greedily by the
+number of constrained pairs to those already placed (_count_order), which
+prunes dead ends sooner, and take their least labeling from one id-order
+witness search.  Work is metered in search nodes (one node per attempted
+color assignment); exhausting the budget raises BudgetExhausted, a third
+outcome distinct from "no labeling".
 A budget limits a whole public call: every span exact_lambda tries and
 every worker of a parallel count draw on the same nodes and deadline.
 
@@ -15,11 +19,12 @@ shifting a labeling down to least color 0 keeps every gap, and translating
 a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
 tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
 The pair -> gap map and the translation check are compiled once per public
-call; only the forbid tables are rebuilt for each span.
+call; only the allow tables are rebuilt for each span.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -66,13 +71,14 @@ class LambdaWitness:
     witness: Labeling
 
 
-def _forbid_table(gap: int, k: int) -> tuple[int, ...]:
-    # forbid_table[c] masks every color within distance < gap of c
+def _allow_table(gap: int, k: int) -> tuple[int, ...]:
+    # allow_table[c] masks every color of 0..k at distance >= gap from c
+    full = (1 << (k + 1)) - 1
     out = []
     for c in range(k + 1):
         lo = max(0, c - gap + 1)
         hi = min(k, c + gap - 1)
-        out.append(((1 << (hi - lo + 1)) - 1) << lo)
+        out.append(full & ~(((1 << (hi - lo + 1)) - 1) << lo))
     return tuple(out)
 
 
@@ -99,7 +105,7 @@ def compile_constraints(
     """The pair -> gap map of g and whether translations preserve it.
 
     extra_pairs adds (u, v, gap) constraints on top of the graph's own,
-    merged by taking the larger gap.  The per-span forbid tables are built
+    merged by taking the larger gap.  The per-span allow tables are built
     from the result by _forward.
     """
 
@@ -147,16 +153,56 @@ def _transitive(
     return True
 
 
-def _forward(cons: _Constraints, k: int) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Forward adjacency at span k: fwd[u] lists (v, forbid_table) for the
-    constrained v > u."""
+def _count_order(cons: _Constraints) -> list[int] | None:
+    """The vertex order a count assigns in, or None for id order.
 
+    Vertex 0 comes first, then at each step the unplaced vertex with the
+    most constrained pairs to the placed ones, ties to the smallest id: a
+    vertex is reached once its domain is already cut down, so dead ends
+    show up early.  Stale heap entries are skipped, as scores only grow.
+    """
+
+    n = cons.n_vertices
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _gap in cons.pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    score = [0] * n
+    placed = [False] * n
+    heap = [(0, v) for v in range(n)]
+    order = []
+    while heap:
+        _s, u = heapq.heappop(heap)
+        if placed[u]:
+            continue
+        placed[u] = True
+        order.append(u)
+        for v in nbrs[u]:
+            if not placed[v]:
+                score[v] += 1
+                heapq.heappush(heap, (-score[v], v))
+    return None if order == list(range(n)) else order
+
+
+def _forward(
+    cons: _Constraints, k: int, order: list[int] | None = None
+) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Forward adjacency at span k over positions in order (id order when
+    None): fwd[a] lists (b, allow_table) for each constrained position
+    b > a."""
+
+    pos = list(range(cons.n_vertices))
+    for i, v in enumerate(order or ()):
+        pos[v] = i
     tables: dict[int, tuple[int, ...]] = {}
     fwd: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(cons.n_vertices)]
     for u, v, gap in cons.pairs:
         if gap not in tables:
-            tables[gap] = _forbid_table(gap, k)
-        fwd[u].append((v, tables[gap]))
+            tables[gap] = _allow_table(gap, k)
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        fwd[a].append((b, tables[gap]))
     return fwd
 
 
@@ -186,58 +232,72 @@ def _run(
     nodes: int,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Backtracking core.  Returns (first witness or None, count, nodes).
+    """Backtracking core over positions 0..n_v-1.  Returns (first witness
+    or None, count, nodes).
 
     The node counter starts at `nodes`, the call's spend so far, so that
-    max_nodes caps the whole call.
+    max_nodes caps the whole call.  Each node makes one comparison against
+    stop: the node past max_nodes, or the next multiple of 4096 when a
+    deadline is due for a poll there.
     """
 
-    full = (1 << (k + 1)) - 1
-    dom = [full] * n_v
+    def next_stop(nodes: int) -> int:
+        if deadline is None:
+            return max_nodes + 1
+        return min(max_nodes + 1, (nodes // 4096 + 1) * 4096)
+
+    dom = [(1 << (k + 1)) - 1] * n_v
     colors = [0] * n_v
     cand = [0] * n_v
     # mark[pos] is the trail length when pos was entered; every color try
     # starts by undoing whatever was propagated since, which covers the try
-    # before it and any positions above it that were backtracked out of
+    # before it and any positions above it that were backtracked out of.
+    # The trail holds position, old domain, position, old domain, ...
     mark = [0] * n_v
-    trail_v: list[int] = []
-    trail_m: list[int] = []
+    trail: list[int] = []
+    last = n_v - 1
+    stop = next_stop(nodes)
     least = None
     count = 0
     pos = 0
     cand[0] = cand0
     while True:
         m = cand[pos]
-        if m == 0:
+        if not m:
             pos -= 1
             if pos < 0:
                 return least, count, nodes
             continue
         t = mark[pos]
-        while len(trail_v) > t:
-            dom[trail_v.pop()] = trail_m.pop()
-        c = (m & -m).bit_length() - 1
-        cand[pos] = m & (m - 1)
+        while len(trail) > t:
+            old = trail.pop()
+            dom[trail.pop()] = old
+        low = m & -m
+        cand[pos] = m ^ low
+        c = low.bit_length() - 1
         nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExhausted(f"node budget of {max_nodes} exhausted", nodes)
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExhausted("time cap exceeded", nodes)
+        if nodes >= stop:
+            if nodes > max_nodes:
+                raise BudgetExhausted(f"node budget of {max_nodes} exhausted", nodes)
+            if time.monotonic() > deadline:
+                raise BudgetExhausted("time cap exceeded", nodes)
+            stop = next_stop(nodes)
         colors[pos] = c
-        ok = True
-        for v, forbid in fwd[pos]:
+        for v, allow in fwd[pos]:
             old = dom[v]
-            new = old & ~forbid[c]
+            new = old & allow[c]
             if new != old:
-                trail_v.append(v)
-                trail_m.append(old)
-                dom[v] = new
-                if new == 0:
-                    ok = False
+                if not new:
                     break
-        if not ok:
-            continue
-        if pos + 1 == n_v:
+                trail.append(v)
+                trail.append(old)
+                dom[v] = new
+        else:
+            if pos < last:
+                pos += 1
+                mark[pos] = len(trail)
+                cand[pos] = dom[pos]
+                continue
             if first:
                 return tuple(colors), count, nodes
             if least is None:
@@ -245,10 +305,6 @@ def _run(
             count += 1
             if visitor is not None:
                 visitor(tuple(colors))
-            continue
-        pos += 1
-        mark[pos] = len(trail_v)
-        cand[pos] = dom[pos]
 
 
 def _search(
@@ -267,9 +323,16 @@ def _search(
     alone: shifting a labeling down to least color 0 keeps every gap, and
     a translation carries a vertex of color 0 onto vertex 0.  Otherwise it
     is colors up to floor(k/2): the map c -> k - c carries a witness
-    starting above that to a smaller one.  Without first the search counts
-    every labeling, showing each to visitor, and keeps the first it meets,
-    which is the least.  With workers > 1 the first vertex's colors are
+    starting above that to a smaller one.  Witness searches and visitor
+    enumeration assign vertices in id order, so the first labeling met is
+    the least and a visitor sees every labeling in lexicographic order.
+
+    Without first or visitor the search counts, in _count_order's order.
+    Vertex 0 still comes first, so its colors are what the pool deals.  A
+    count returns its least labeling too: where the order is id order
+    that is the first labeling met, elsewhere it comes from one id-order
+    witness search under the same limits, which the argument above makes
+    the least overall.  With workers > 1 the first vertex's colors are
     dealt round-robin over a process pool, and the parts merge into the
     least witness, the summed count and the summed nodes.  Nodes are
     summed before the budget check, so exhaustion does not depend on
@@ -281,7 +344,8 @@ def _search(
         raise ValueError("k must be nonnegative")
     if workers < 1:
         raise ValueError("workers must be positive")
-    fwd = _forward(cons, k)
+    order = None if first or visitor is not None else _count_order(cons)
+    fwd = _forward(cons, k, order)
     top = (0 if cons.transitive else k // 2) if first else k
     masks = [0] * workers
     for c in range(top + 1):
@@ -303,8 +367,11 @@ def _search(
     limits.spent = spent + sum(nodes - spent for _w, _count, nodes in parts)
     if limits.spent > limits.max_nodes:
         raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
-    witness = min((w for w, _count, _nodes in parts if w is not None), default=None)
     count = sum(count for _w, count, _nodes in parts)
+    if order is not None:
+        # the parts' witnesses are read in position order
+        return (_search(cons, k, limits, first=True)[0] if count else None), count
+    witness = min((w for w, _count, _nodes in parts if w is not None), default=None)
     if witness is None:
         return None, count
     return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count
@@ -370,10 +437,13 @@ def enumerate_labelings(
     budget: SolveBudget = DEFAULT_BUDGET,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
 ) -> int:
-    """Count all k-L(p,q)-labelings of g, in lexicographic order.
+    """Count all k-L(p,q)-labelings of g, showing each to visitor in
+    lexicographic order.
 
     No symmetry reduction is applied: the count is over all labelings, and
-    the optional visitor sees every color tuple exactly once, in order.
+    the optional visitor sees every color tuple exactly once, in order:
+    with a visitor the search assigns vertices in id order.  Without one
+    it is a count, run in count_labelings' order.
     """
 
     limits = _limits(budget)
@@ -392,11 +462,15 @@ def count_labelings(
     """Number of k-L(p,q)-labelings satisfying the extra constraints too.
 
     The workhorse behind the identity verifiers: adding an extra pair
-    (u, v, 1) counts exactly the labelings with f(u) != f(v).  With
-    workers > 1 the first vertex's colors are partitioned round-robin
-    across processes.  The workers share one budget: their nodes are
-    summed before the budget check and the counts are summed, so both the
-    result and whether the budget runs out are independent of worker count.
+    (u, v, 1) counts exactly the labelings with f(u) != f(v).  A count
+    does not assign vertices in id order: vertex 0 comes first, then
+    greedily the vertex with the most constrained pairs to those already
+    placed, which spends a quarter to a third of the nodes on the strong
+    window grid.  With workers > 1 the first vertex's colors are
+    partitioned round-robin across processes.  The workers share one
+    budget: their nodes are summed before the budget check and the counts
+    are summed, so both the result and whether the budget runs out are
+    independent of worker count.
     """
 
     limits = _limits(budget)

@@ -107,9 +107,9 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
-    # the window lemma's two counts fit 6,000 nodes each but not together
+    # the window lemma's two counts fit 1,400 nodes each but not together
     code, _, err = run(
-        "lemmas", "--which", "strong-local", "--budget-nodes", "6000", capsys=capsys,
+        "lemmas", "--which", "strong-local", "--budget-nodes", "1400", capsys=capsys,
     )
     assert code == 3
     assert "budget exhausted" in err
@@ -208,6 +208,15 @@ def test_construct_max_span_guard(capsys):
     )
     assert code == 2
     assert "span 4" in err
+
+
+def test_construct_budget_limits_the_word_search(capsys):
+    code, text, err = run(
+        "construct", "--product", "strong", "--m", "49", "--n", "49",
+        "--budget-nodes", "1", capsys=capsys,
+    )
+    assert code == 3 and text == ""
+    assert "budget exhausted" in err
 
 
 # --- verify ------------------------------------------------------------------

@@ -107,9 +107,9 @@ def test_public_window_check_shares_the_dispatch_cache_entry():
 
 
 def test_window_lemma_spends_one_budget():
-    # each count fits 6,000 nodes alone (5,987 and 4,131), not both together
+    # each count fits 1,400 nodes alone (1,355 and 575), not both together
     g = grid(STRONG, 4, 4)
-    tight = SolveBudget(max_nodes=6000)
+    tight = SolveBudget(max_nodes=1400)
     assert count_labelings(g, 6, budget=tight) == 180
     u, v = g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
     assert count_labelings(g, 6, extra_pairs=[(u, v, 1)], budget=tight) == 0

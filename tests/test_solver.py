@@ -1,8 +1,9 @@
+import functools
 import time
 
 import pytest
 
-from lpqcycles import solver
+from lpqcycles import lambda_numbers, solver
 from lpqcycles import (
     BudgetExhausted,
     ConstraintParams,
@@ -243,9 +244,10 @@ def test_budget_covers_every_span_of_exact_lambda():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("max_nodes,expected", [(5_000, None), (6_000, 180)])
+@pytest.mark.parametrize("max_nodes,expected", [(1_000, None), (1_400, 180)])
 def test_workers_share_one_node_budget(workers, max_nodes, expected):
-    # the full count takes 5,987 nodes, 3,252 + 2,735 over two workers
+    # the full count takes 1,355 nodes: 638 + 673 over two workers, then 44
+    # for the id-order search that finds the least labeling
     g, budget = grid(STRONG, 4, 4), SolveBudget(max_nodes=max_nodes)
     if expected is None:
         with pytest.raises(BudgetExhausted):
@@ -316,11 +318,14 @@ def test_parallel_matches_sequential_on_strong_grid():
         pytest.param(grid(CART, 3, 3), 5, id="cartesian-grid-3x3-span-5"),
         pytest.param(grid(STRONG, 4, 4), 7, id="strong-grid-4x4-span-7"),
         pytest.param(torus(STRONG, 7, 7), 6, id="strong-torus-7x7-span-6"),
+        # the first labeling in the count's own order is (0, 2, 6, 4, 3, 1)
+        pytest.param(grid(STRONG, 3, 2), 6, id="strong-grid-3x2-span-6"),
     ],
 )
 def test_count_returns_the_least_labeling(g, k, workers):
-    # a count keeps the first labeling it meets, which enumeration order
-    # makes the least; the pool merges its parts' witnesses by min
+    # a count that runs in id order keeps the first labeling it meets, and
+    # the pool merges its parts' witnesses by min; a count in another order
+    # takes the least labeling from an id-order witness search
     seen = []
 
     def keep_first(colors):
@@ -332,6 +337,68 @@ def test_count_returns_the_least_labeling(g, k, workers):
     witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
     assert got == count > 0
     assert witness.as_tuple() == seen[0]
+
+
+# tori whose count at lambda takes over 300,000 nodes; they are checked at
+# lambda - 1 only
+_HEAVY_COUNTS = {
+    (CART, 4, 5), (CART, 5, 4),
+    (STRONG, 3, 4), (STRONG, 4, 3), (STRONG, 4, 4), (STRONG, 4, 5), (STRONG, 5, 4),
+}
+
+
+def _count_order_cases():
+    for kind in (CART, STRONG):
+        for k in range(3, 8):
+            for identity in (False, True):
+                name = f"{kind.value}-window-span-{k}" + ("-identity" * identity)
+                yield pytest.param(("window", kind, k, identity), id=name)
+    for kind in (CART, STRONG):
+        for m in range(3, 6):
+            for n in range(3, 6):
+                if kind is STRONG and (m, n) in _SLOW_INFEASIBLE:
+                    continue
+                value = _TORUS_LAMBDA[kind][m - 3][n - 3]
+                heavy = (kind, m, n) in _HEAVY_COUNTS
+                for k in (value - 1,) if heavy else (value - 1, value):
+                    name = f"{kind.value}-torus-{m}x{n}-span-{k}"
+                    yield pytest.param(("torus", kind, m, n, k), id=name)
+
+
+@functools.cache
+def _count_order_case(case):
+    """(graph, span, extra pairs) and what id-order enumeration reports for
+    them: the count and the least labeling, or None."""
+
+    if case[0] == "window":
+        _, kind, k, identity = case
+        g, u, v = lambda_numbers._local_identity(kind)
+        extra = ((u, v, 1),) if identity else ()
+    else:
+        _, kind, m, n, k = case
+        g, extra = torus(kind, m, n), ()
+    found = [0, None]
+
+    def visitor(colors):
+        if all(colors[u] != colors[v] for u, v, _gap in extra):
+            found[0] += 1
+            found[1] = found[1] or colors
+
+    enumerate_labelings(g, k, visitor=visitor)
+    return g, k, extra, found[0], found[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", _count_order_cases())
+def test_count_order_matches_enumeration(case, workers):
+    # counts assign vertices in _count_order's order, enumeration in id
+    # order; both must find the same labelings and the same least one
+    g, k, extra, count, least = _count_order_case(case)
+    assert count_labelings(g, k, extra_pairs=extra, workers=workers) == count
+    cons = solver.compile_constraints(g, ConstraintParams(), extra)
+    witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
+    assert got == count
+    assert witness_tuple(witness) == least
 
 
 def test_strong_grid_counts_against_dp_oracle():
