@@ -318,7 +318,7 @@ def test_parallel_matches_sequential_on_strong_grid():
         pytest.param(grid(CART, 3, 3), 5, id="cartesian-grid-3x3-span-5"),
         pytest.param(grid(STRONG, 4, 4), 7, id="strong-grid-4x4-span-7"),
         pytest.param(torus(STRONG, 7, 7), 6, id="strong-torus-7x7-span-6"),
-        # the first labeling in the count's own order is (0, 2, 6, 4, 3, 1)
+        # the count meets (0, 2, 6, 4, 3, 1) first; the least is (0, 2, 2, 4, 4, 6)
         pytest.param(grid(STRONG, 3, 2), 6, id="strong-grid-3x2-span-6"),
     ],
 )
