@@ -153,8 +153,8 @@ def _transitive(
     return True
 
 
-def _count_order(cons: _Constraints) -> list[int] | None:
-    """The vertex order a count assigns in, or None for id order.
+def _count_order(cons: _Constraints) -> list[int]:
+    """The vertex order a count assigns in.
 
     Vertex 0 comes first, then at each step the unplaced vertex with the
     most constrained pairs to the placed ones, ties to the smallest id: a
@@ -181,7 +181,7 @@ def _count_order(cons: _Constraints) -> list[int] | None:
             if not placed[v]:
                 score[v] += 1
                 heapq.heappush(heap, (-score[v], v))
-    return None if order == list(range(n)) else order
+    return order
 
 
 def _forward(
@@ -232,8 +232,8 @@ def _run(
     nodes: int,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Backtracking core over positions 0..n_v-1.  Returns (first witness
-    or None, count, nodes).
+    """Backtracking core over positions 0..n_v-1.  Returns (witness, count,
+    nodes): with first the first labeling met or None, else None.
 
     The node counter starts at `nodes`, the call's spend so far, so that
     max_nodes caps the whole call.  Each node makes one comparison against
@@ -257,7 +257,6 @@ def _run(
     trail: list[int] = []
     last = n_v - 1
     stop = next_stop(nodes)
-    least = None
     count = 0
     pos = 0
     cand[0] = cand0
@@ -266,7 +265,7 @@ def _run(
         if not m:
             pos -= 1
             if pos < 0:
-                return least, count, nodes
+                return None, count, nodes
             continue
         t = mark[pos]
         while len(trail) > t:
@@ -300,8 +299,6 @@ def _run(
                 continue
             if first:
                 return tuple(colors), count, nodes
-            if least is None:
-                least = tuple(colors)
             count += 1
             if visitor is not None:
                 visitor(tuple(colors))
@@ -329,27 +326,27 @@ def _search(
 
     Without first or visitor the search counts, in _count_order's order.
     Vertex 0 still comes first, so its colors are what the pool deals.  A
-    count returns its least labeling too: where the order is id order
-    that is the first labeling met, elsewhere it comes from one id-order
+    nonzero count returns its least labeling too, from one id-order
     witness search under the same limits, which the argument above makes
-    the least overall.  With workers > 1 the first vertex's colors are
-    dealt round-robin over a process pool, and the parts merge into the
-    least witness, the summed count and the summed nodes.  Nodes are
-    summed before the budget check, so exhaustion does not depend on
-    workers.  Returns (least witness or None, count) in both modes and
-    charges the nodes spent to limits.
+    the least overall.  With workers > 1 a count deals the first vertex's
+    colors round-robin over a process pool and sums the parts' counts and
+    nodes; witness searches and visitor enumeration run in one process.
+    Nodes are summed before the budget check, so exhaustion does not
+    depend on workers.  Returns (witness, count), where the witness is the
+    least labeling, or None when there is none or a visitor saw them all,
+    and charges the nodes spent to limits.
     """
 
     if k < 0:
         raise ValueError("k must be nonnegative")
     if workers < 1:
         raise ValueError("workers must be positive")
-    order = None if first or visitor is not None else _count_order(cons)
-    fwd = _forward(cons, k, order)
+    counting = not first and visitor is None
+    fwd = _forward(cons, k, _count_order(cons) if counting else None)
     top = (0 if cons.transitive else k // 2) if first else k
-    masks = [0] * workers
+    masks = [0] * (workers if counting else 1)
     for c in range(top + 1):
-        masks[c % workers] |= 1 << c
+        masks[c % len(masks)] |= 1 << c
     masks = [mask for mask in masks if mask]
     spent = limits.spent
     run_limits = (limits.max_nodes, limits.deadline, spent)
@@ -368,10 +365,9 @@ def _search(
     if limits.spent > limits.max_nodes:
         raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
     count = sum(count for _w, count, _nodes in parts)
-    if order is not None:
-        # the parts' witnesses are read in position order
-        return (_search(cons, k, limits, first=True)[0] if count else None), count
-    witness = min((w for w, _count, _nodes in parts if w is not None), default=None)
+    if counting and count:
+        return _search(cons, k, limits, first=True)[0], count
+    witness = parts[0][0]
     if witness is None:
         return None, count
     return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count

@@ -311,34 +311,6 @@ def test_parallel_matches_sequential_on_strong_grid():
     assert count_labelings(g, 6) == dp_count_strong_grid4(6)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "g,k",
-    [
-        pytest.param(grid(CART, 3, 3), 5, id="cartesian-grid-3x3-span-5"),
-        pytest.param(grid(STRONG, 4, 4), 7, id="strong-grid-4x4-span-7"),
-        pytest.param(torus(STRONG, 7, 7), 6, id="strong-torus-7x7-span-6"),
-        # the count meets (0, 2, 6, 4, 3, 1) first; the least is (0, 2, 2, 4, 4, 6)
-        pytest.param(grid(STRONG, 3, 2), 6, id="strong-grid-3x2-span-6"),
-    ],
-)
-def test_count_returns_the_least_labeling(g, k, workers):
-    # a count that runs in id order keeps the first labeling it meets, and
-    # the pool merges its parts' witnesses by min; a count in another order
-    # takes the least labeling from an id-order witness search
-    seen = []
-
-    def keep_first(colors):
-        if not seen:
-            seen.append(colors)
-
-    count = enumerate_labelings(g, k, visitor=keep_first)
-    cons = solver.compile_constraints(g, ConstraintParams())
-    witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
-    assert got == count > 0
-    assert witness.as_tuple() == seen[0]
-
-
 # tori whose count at lambda takes over 300,000 nodes; they are checked at
 # lambda - 1 only
 _HEAVY_COUNTS = {
@@ -347,12 +319,18 @@ _HEAVY_COUNTS = {
 }
 
 
-def _count_order_cases():
-    for kind in (CART, STRONG):
+def _least_labeling_case(shape, kind, m, n, k, identity=False):
+    name = f"{kind.value}-{shape}-{m}x{n}-span-{k}" + "-identity" * identity
+    return pytest.param((shape, kind, m, n, k, identity), id=name)
+
+
+def _least_labeling_cases():
+    # both window grids at every span, with and without the pair of the
+    # window identity
+    for kind, side in ((CART, 3), (STRONG, 4)):
         for k in range(3, 8):
             for identity in (False, True):
-                name = f"{kind.value}-window-span-{k}" + ("-identity" * identity)
-                yield pytest.param(("window", kind, k, identity), id=name)
+                yield _least_labeling_case("grid", kind, side, side, k, identity)
     for kind in (CART, STRONG):
         for m in range(3, 6):
             for n in range(3, 6):
@@ -361,22 +339,23 @@ def _count_order_cases():
                 value = _TORUS_LAMBDA[kind][m - 3][n - 3]
                 heavy = (kind, m, n) in _HEAVY_COUNTS
                 for k in (value - 1,) if heavy else (value - 1, value):
-                    name = f"{kind.value}-torus-{m}x{n}-span-{k}"
-                    yield pytest.param(("torus", kind, m, n, k), id=name)
+                    yield _least_labeling_case("torus", kind, m, n, k)
+    yield _least_labeling_case("torus", STRONG, 7, 7, 6)
+    # the count meets (0, 2, 6, 4, 3, 1) first; the least is (0, 2, 2, 4, 4, 6)
+    yield _least_labeling_case("grid", STRONG, 3, 2, 6)
 
 
 @functools.cache
-def _count_order_case(case):
+def _enumerated(case):
     """(graph, span, extra pairs) and what id-order enumeration reports for
     them: the count and the least labeling, or None."""
 
-    if case[0] == "window":
-        _, kind, k, identity = case
-        g, u, v = lambda_numbers._local_identity(kind)
-        extra = ((u, v, 1),) if identity else ()
-    else:
-        _, kind, m, n, k = case
-        g, extra = torus(kind, m, n), ()
+    shape, kind, m, n, k, identity = case
+    g = (grid if shape == "grid" else torus)(kind, m, n)
+    extra = ()
+    if identity:
+        _window, u, v = lambda_numbers._local_identity(kind)
+        extra = ((u, v, 1),)
     found = [0, None]
 
     def visitor(colors):
@@ -389,11 +368,12 @@ def _count_order_case(case):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", _count_order_cases())
-def test_count_order_matches_enumeration(case, workers):
+@pytest.mark.parametrize("case", _least_labeling_cases())
+def test_count_returns_the_least_labeling(case, workers):
     # counts assign vertices in _count_order's order, enumeration in id
-    # order; both must find the same labelings and the same least one
-    g, k, extra, count, least = _count_order_case(case)
+    # order; both must find the same labelings, and the count's least
+    # labeling must be the first one enumeration meets
+    g, k, extra, count, least = _enumerated(case)
     assert count_labelings(g, k, extra_pairs=extra, workers=workers) == count
     cons = solver.compile_constraints(g, ConstraintParams(), extra)
     witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
