@@ -160,14 +160,15 @@ def _verify_local(
     kind: ProductKind, span: int, workers: int, budget: SolveBudget
 ) -> CheckReport:
     g, u, v = _local_identity(kind)
-    # both counts spend one budget; the second returns the least labeling
-    # that breaks the identity, the counterexample
+    # the two counts, and the search for the least labeling that breaks the
+    # identity (the counterexample) when there is one, spend one budget
     limits = _limits(budget)
     # compiled through the module, where bench/spans.py times the call
     plain = solver.compile_constraints(g, DEFAULT_PARAMS)
     differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
     _w, total = _search(plain, span, limits, workers=workers)
-    witness, bad = _search(differ, span, limits, workers=workers)
+    _w, bad = _search(differ, span, limits, workers=workers)
+    witness = _search(differ, span, limits, first=True)[0] if bad else None
     name = f"{kind.value}-local-diagonality-span-{span}"
     return CheckReport(name, bad == 0, total, witness)
 

@@ -6,12 +6,18 @@ order and try colors in ascending order, so the first witness found is the
 lexicographically least one and full enumeration emits labelings in
 lexicographic order.  Counts do not: they assign vertices greedily by the
 number of constrained pairs to those already placed (_count_order), which
-prunes dead ends sooner, and take their least labeling from one id-order
-witness search.  Work is metered in search nodes (one node per attempted
-color assignment); exhausting the budget raises BudgetExhausted, a third
-outcome distinct from "no labeling".
-A budget limits a whole public call: every span exact_lambda tries and
-every worker of a parallel count draw on the same nodes and deadline.
+prunes dead ends sooner, and return no labeling.  On each span it tries,
+exact_lambda races a witness search in that order against the id-order
+one: the count order proves most infeasible spans far sooner, and the
+witness is always the id-order search's.
+Work is metered in search nodes (one node per attempted color
+assignment); exhausting the budget raises BudgetExhausted, a third
+outcome distinct from "no labeling".  The backtracker (_run) is a
+generator that pauses every 4096 nodes, and one driver (_drive) resumes
+it, polls the budget at each pause and takes the two searches of a race
+in turn.  A budget limits a whole public call: every span exact_lambda
+tries, both searches of a race and every worker of a parallel count draw
+on the same nodes and deadline.
 
 A witness search on a graph whose constrained pairs translations preserve
 (tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
@@ -28,7 +34,7 @@ import heapq
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Generator, Iterable
 
 import numpy as np
 
@@ -184,21 +190,26 @@ def _count_order(cons: _Constraints) -> list[int]:
     return order
 
 
+def _allow_tables(cons: _Constraints, k: int) -> dict[int, tuple[int, ...]]:
+    """The allow table of each gap at span k, shared by the forward
+    adjacency of every order searched at that span."""
+
+    return {gap: _allow_table(gap, k) for gap in {gap for _u, _v, gap in cons.pairs}}
+
+
 def _forward(
-    cons: _Constraints, k: int, order: list[int] | None = None
+    cons: _Constraints,
+    tables: dict[int, tuple[int, ...]],
+    order: list[int] | None = None,
 ) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Forward adjacency at span k over positions in order (id order when
-    None): fwd[a] lists (b, allow_table) for each constrained position
-    b > a."""
+    """Forward adjacency over positions in order (id order when None):
+    fwd[a] lists (b, allow_table) for each constrained position b > a."""
 
     pos = list(range(cons.n_vertices))
     for i, v in enumerate(order or ()):
         pos[v] = i
-    tables: dict[int, tuple[int, ...]] = {}
     fwd: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(cons.n_vertices)]
     for u, v, gap in cons.pairs:
-        if gap not in tables:
-            tables[gap] = _allow_table(gap, k)
         a, b = pos[u], pos[v]
         if a > b:
             a, b = b, a
@@ -221,30 +232,31 @@ def _limits(budget: SolveBudget) -> _Limits:
     return _Limits(budget.max_nodes, deadline)
 
 
+# nodes a search spends between two budget polls, and the turn each search
+# of a race takes
+_SLICE = 4096
+
+_Run = Generator[int, int, tuple[tuple[int, ...] | None, int, int]]
+
+
 def _run(
     n_v: int,
     fwd: list[list[tuple[int, tuple[int, ...]]]],
     k: int,
     cand0: int,
     first: bool,
-    max_nodes: int,
-    deadline: float | None,
-    nodes: int,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """Backtracking core over positions 0..n_v-1.  Returns (witness, count,
-    nodes): with first the first labeling met or None, else None.
+) -> _Run:
+    """Backtracking core over positions 0..n_v-1, as a generator that
+    _drive resumes one slice at a time.
 
-    The node counter starts at `nodes`, the call's spend so far, so that
-    max_nodes caps the whole call.  Each node makes one comparison against
-    stop: the node past max_nodes, or the next multiple of 4096 when a
-    deadline is due for a poll there.
+    After a first next(), each value sent is the number of nodes the
+    search may spend before it pauses.  It yields the nodes spent since
+    the last pause when it pauses, and at the end returns (witness, count,
+    nodes spent since the last pause): with first the witness is the first
+    labeling met or None, else None.  Each node makes one comparison
+    against the pause point.
     """
-
-    def next_stop(nodes: int) -> int:
-        if deadline is None:
-            return max_nodes + 1
-        return min(max_nodes + 1, (nodes // 4096 + 1) * 4096)
 
     dom = [(1 << (k + 1)) - 1] * n_v
     colors = [0] * n_v
@@ -256,7 +268,8 @@ def _run(
     mark = [0] * n_v
     trail: list[int] = []
     last = n_v - 1
-    stop = next_stop(nodes)
+    nodes = 0
+    stop = yield nodes
     count = 0
     pos = 0
     cand[0] = cand0
@@ -276,11 +289,8 @@ def _run(
         c = low.bit_length() - 1
         nodes += 1
         if nodes >= stop:
-            if nodes > max_nodes:
-                raise BudgetExhausted(f"node budget of {max_nodes} exhausted", nodes)
-            if time.monotonic() > deadline:
-                raise BudgetExhausted("time cap exceeded", nodes)
-            stop = next_stop(nodes)
+            stop = yield nodes
+            nodes = 0
         colors[pos] = c
         for v, allow in fwd[pos]:
             old = dom[v]
@@ -304,6 +314,71 @@ def _run(
                 visitor(tuple(colors))
 
 
+def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] | None:
+    """Resume run for one slice and charge its nodes to limits.  Returns
+    its (witness, count) when the search ends, else None.
+
+    The slice ends at the node past max_nodes if that comes first, so
+    exhaustion raises there, with exactly max_nodes + 1 nodes spent; the
+    deadline is polled at every pause.
+    """
+
+    try:
+        limits.spent += run.send(min(_SLICE, limits.max_nodes + 1 - limits.spent))
+    except StopIteration as end:
+        witness, count, spent = end.value
+        limits.spent += spent
+        return witness, count
+    if limits.spent > limits.max_nodes:
+        raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
+    if limits.deadline is not None and time.monotonic() > limits.deadline:
+        raise BudgetExhausted("time cap exceeded", limits.spent)
+    return None
+
+
+def _drive(
+    run: _Run, limits: _Limits, rival: _Run | None = None
+) -> tuple[tuple[int, ...] | None, int]:
+    """Advance run to its end under limits and return its (witness, count).
+
+    A rival is a witness search over the same span in another vertex
+    order.  It takes a slice before each of run's, both spend the one
+    budget, and the span goes to whichever settles it first: a rival that
+    ends with no witness proves that the span has none; one that ends with
+    a witness shows that run will find one too, so run goes on alone to
+    its own, the least.
+    """
+
+    next(run)
+    if rival is not None:
+        next(rival)
+    while True:
+        if rival is not None:
+            end = _advance(rival, limits)
+            if end is not None:
+                if end[0] is None:
+                    return end
+                rival = None
+        end = _advance(run, limits)
+        if end is not None:
+            return end
+
+
+def _count_part(
+    n_v: int,
+    fwd: list[list[tuple[int, tuple[int, ...]]]],
+    k: int,
+    cand0: int,
+    limits: _Limits,
+) -> tuple[int, int]:
+    """One pool worker's share of a count, driven in the worker under its
+    copy of the call's limits.  Returns the count and the nodes spent."""
+
+    spent = limits.spent
+    _witness, count = _drive(_run(n_v, fwd, k, cand0, False), limits)
+    return count, limits.spent - spent
+
+
 def _search(
     cons: _Constraints,
     k: int,
@@ -311,6 +386,7 @@ def _search(
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
     workers: int = 1,
+    rival_order: list[int] | None = None,
 ) -> tuple[Labeling | None, int]:
     """The one search behind every public entry point.
 
@@ -323,18 +399,19 @@ def _search(
     starting above that to a smaller one.  Witness searches and visitor
     enumeration assign vertices in id order, so the first labeling met is
     the least and a visitor sees every labeling in lexicographic order.
+    A witness search given rival_order races a second witness search in
+    that order (see _drive), under the same first-vertex rule: either
+    search finds a witness exactly when the span has one.
 
-    Without first or visitor the search counts, in _count_order's order.
-    Vertex 0 still comes first, so its colors are what the pool deals.  A
-    nonzero count returns its least labeling too, from one id-order
-    witness search under the same limits, which the argument above makes
-    the least overall.  With workers > 1 a count deals the first vertex's
-    colors round-robin over a process pool and sums the parts' counts and
-    nodes; witness searches and visitor enumeration run in one process.
-    Nodes are summed before the budget check, so exhaustion does not
-    depend on workers.  Returns (witness, count), where the witness is the
-    least labeling, or None when there is none or a visitor saw them all,
-    and charges the nodes spent to limits.
+    Without first or visitor the search counts, in _count_order's order,
+    and returns no witness.  Vertex 0 still comes first, so its colors are
+    what the pool deals: with workers > 1 a count deals them round-robin
+    over a process pool and sums the parts' counts and nodes; witness
+    searches and visitor enumeration run in one process.  Nodes are summed
+    before the budget check, so exhaustion does not depend on workers.
+    Returns (witness, count), where the witness is the least labeling, or
+    None when there is none or the search did not look for one, and
+    charges the nodes spent to limits.
     """
 
     if k < 0:
@@ -342,32 +419,26 @@ def _search(
     if workers < 1:
         raise ValueError("workers must be positive")
     counting = not first and visitor is None
-    fwd = _forward(cons, k, _count_order(cons) if counting else None)
+    tables = _allow_tables(cons, k)
+    fwd = _forward(cons, tables, _count_order(cons) if counting else None)
     top = (0 if cons.transitive else k // 2) if first else k
     masks = [0] * (workers if counting else 1)
     for c in range(top + 1):
         masks[c % len(masks)] |= 1 << c
     masks = [mask for mask in masks if mask]
-    spent = limits.spent
-    run_limits = (limits.max_nodes, limits.deadline, spent)
-    if len(masks) == 1:
-        parts = [_run(cons.n_vertices, fwd, k, masks[0], first, *run_limits, visitor)]
-    else:
+    n_v = cons.n_vertices
+    if len(masks) > 1:
         with ProcessPoolExecutor(max_workers=len(masks)) as pool:
-            futures = [
-                pool.submit(_run, cons.n_vertices, fwd, k, mask, first, *run_limits)
-                for mask in masks
-            ]
+            futures = [pool.submit(_count_part, n_v, fwd, k, mask, limits) for mask in masks]
             parts = [future.result() for future in futures]
-
-    # each part's node counter started from spent
-    limits.spent = spent + sum(nodes - spent for _w, _count, nodes in parts)
-    if limits.spent > limits.max_nodes:
-        raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
-    count = sum(count for _w, count, _nodes in parts)
-    if counting and count:
-        return _search(cons, k, limits, first=True)[0], count
-    witness = parts[0][0]
+        limits.spent += sum(spent for _count, spent in parts)
+        if limits.spent > limits.max_nodes:
+            raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
+        return None, sum(count for count, _spent in parts)
+    rival = None
+    if rival_order is not None:
+        rival = _run(n_v, _forward(cons, tables, rival_order), k, masks[0], True)
+    witness, count = _drive(_run(n_v, fwd, k, masks[0], first, visitor), limits, rival)
     if witness is None:
         return None, count
     return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count
@@ -406,12 +477,20 @@ def exact_lambda(
 ) -> LambdaWitness:
     """Smallest k admitting a k-L(p,q)-labeling of g, with its least witness.
 
-    Tries k = 0, 1, 2, ... as exists_labeling does, all under one budget:
-    the nodes and time spent on every span count against it.  The
-    constraints are compiled once for the whole scan.  Every graph is
-    satisfiable at (n - 1) * max(p, q), which bounds the scan; a k_max
-    below the true value raises RuntimeError rather than returning a wrong
-    answer.
+    Tries k = 0, 1, 2, ..., all under one budget: the nodes and time spent
+    on every span count against it.  The constraints and the count order
+    (see count_labelings) are built once for the whole scan.  Each span
+    runs exists_labeling's id-order search and a witness search in the
+    count order in turn, 4096 nodes at a time, the count order first.  A
+    count-order search that ends with no witness moves the scan on to the
+    next span; one that ends with a witness leaves the id-order search to
+    run on alone to the least witness; an id-order search that ends first
+    settles the span.  The count order proves most infeasible spans far
+    sooner, and a span costs at most twice the id-order nodes plus one
+    slice of 4096.  Where the count order is id order (Cartesian tori)
+    there is one search.  Every graph is satisfiable at
+    (n - 1) * max(p, q), which bounds the scan; a k_max below the true
+    value raises RuntimeError rather than returning a wrong answer.
     """
 
     ceiling = (g.n_vertices - 1) * max(params.p, params.q)
@@ -419,8 +498,10 @@ def exact_lambda(
         k_max = ceiling
     limits = _limits(budget)
     cons = compile_constraints(g, params)
+    order = _count_order(cons)
+    rival_order = None if order == list(range(cons.n_vertices)) else order
     for k in range(min(k_max, ceiling) + 1):
-        f, _count = _search(cons, k, limits, first=True)
+        f, _count = _search(cons, k, limits, first=True, rival_order=rival_order)
         if f is not None:
             return LambdaWitness(k, f)
     raise RuntimeError(f"no labeling with span <= {k_max}; k_max is too small")

@@ -107,7 +107,8 @@ def test_public_window_check_shares_the_dispatch_cache_entry():
 
 
 def test_window_lemma_spends_one_budget():
-    # each count fits 1,400 nodes alone (1,355 and 575), not both together
+    # each count fits 1,400 nodes alone (1,311 and 575), not both together;
+    # no counterexample search runs, as the identity holds
     g = grid(STRONG, 4, 4)
     tight = SolveBudget(max_nodes=1400)
     assert count_labelings(g, 6, budget=tight) == 180

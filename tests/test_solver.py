@@ -70,6 +70,12 @@ def first_enumerated(g, k, params=ConstraintParams(), keep=lambda colors: True):
     return None
 
 
+@functools.cache
+def least_enumerated(g, k):
+    """first_enumerated(g, k), kept for every test that asks again."""
+    return first_enumerated(g, k)
+
+
 def witness_tuple(w):
     return None if w is None else w.as_tuple()
 
@@ -150,11 +156,43 @@ def test_torus_witness_matches_enumeration(kind, m, n):
     g = torus(kind, m, n)
     value = _TORUS_LAMBDA[kind][m - 3][n - 3]
     w = exists_labeling(g, value)
-    assert w is not None and w.as_tuple() == first_enumerated(g, value)
+    assert w is not None and w.as_tuple() == least_enumerated(g, value)
     if kind is STRONG and (m, n) in _SLOW_INFEASIBLE:
         return
     assert exists_labeling(g, value - 1) is None
-    assert first_enumerated(g, value - 1) is None
+    assert least_enumerated(g, value - 1) is None
+
+
+def _lying_torus_shape():
+    # an oriented path claiming to be a 2 x 2 torus
+    path = oriented_path(4)
+    return Digraph(4, path.out_edges, ProductShape(STRONG, 2, 2, cyclic=True))
+
+
+def _exact_lambda_cases():
+    for kind in (CART, STRONG):
+        for m in range(3, 7):
+            for n in range(3, 7):
+                if not (kind is STRONG and (m, n) in _SLOW_INFEASIBLE):
+                    yield pytest.param(functools.partial(torus, kind, m, n),
+                                       id=f"{kind.value}-{m}x{n}")
+    # tori whose count order is not id order, so that the scan races the two
+    yield pytest.param(functools.partial(torus, STRONG, 3, 9), id="strong-3x9")
+    yield pytest.param(functools.partial(torus, STRONG, 6, 7), id="strong-6x7")
+    # graphs that translations do not preserve
+    yield pytest.param(functools.partial(oriented_path, 4), id="oriented-path-4")
+    yield pytest.param(_lying_torus_shape, id="lying-torus-shape")
+
+
+@pytest.mark.parametrize("make", _exact_lambda_cases())
+def test_exact_lambda_matches_enumeration(make):
+    # enumeration races nothing and breaks no symmetry.  A labeling at one
+    # span is one at every larger span, so the least span with an
+    # enumerated labeling is the value when value - 1 has none
+    g = make()
+    res = exact_lambda(g)
+    assert res.witness.as_tuple() == least_enumerated(g, res.value)
+    assert least_enumerated(g, res.value - 1) is None
 
 
 @pytest.mark.parametrize(
@@ -177,10 +215,9 @@ def test_torus_3x3_witness_matches_brute_oracle(kind, params, value):
 
 
 def test_lying_torus_shape_keeps_the_least_witness():
-    # an oriented path claiming to be a 2 x 2 torus: translations do not
-    # preserve its pairs, so vertex 0 still tries colors up to floor(k/2)
-    path = oriented_path(4)
-    g = Digraph(4, path.out_edges, ProductShape(STRONG, 2, 2, cyclic=True))
+    # translations do not preserve the pairs of this graph, so vertex 0
+    # still tries colors up to floor(k/2)
+    g = _lying_torus_shape()
     assert first_enumerated(g, 3) == (1, 3, 0, 2)
     assert exists_labeling(g, 3).as_tuple() == (1, 3, 0, 2)
     res = exact_lambda(g)
@@ -235,19 +272,37 @@ def test_time_cap_holds_with_workers():
 
 
 def test_budget_covers_every_span_of_exact_lambda():
-    # the scan spends 216,113 nodes in all; no single span reaches 200,000
-    # (the largest, k = 7, takes 174,937)
+    # the scan spends 222,442 nodes in all; no single span reaches 200,000
+    # (the largest, k = 7, takes 180,618 over both orders of the race)
     g = torus(STRONG, 7, 8)
     with pytest.raises(BudgetExhausted):
         exact_lambda(g, budget=SolveBudget(max_nodes=200_000))
-    assert exact_lambda(g, budget=SolveBudget(max_nodes=216_113)).value == 8
+    with pytest.raises(BudgetExhausted) as exc:
+        exact_lambda(g, budget=SolveBudget(max_nodes=222_441))
+    assert exc.value.nodes == 222_442
+    assert exact_lambda(g, budget=SolveBudget(max_nodes=222_442)).value == 8
+
+
+@pytest.mark.parametrize("m,n,max_nodes", [(3, 9, 40_000), (6, 7, 20_000)])
+def test_count_order_settles_infeasible_spans(m, n, max_nodes):
+    # id order alone spends 168,583 nodes on strong 3x9 and 65,983 on 6x7;
+    # the count order proves span 7 infeasible in 269 and 11,648 (its share
+    # of the race included), which brings the scans to 38,666 and 19,474
+    res = exact_lambda(torus(STRONG, m, n), budget=SolveBudget(max_nodes=max_nodes))
+    assert res.value == 8
+
+
+def test_time_cap_fires_inside_the_race():
+    # strong 3x9 spends 38,269 nodes on span 8, so the clock is polled
+    # while both orders are still running
+    with pytest.raises(BudgetExhausted, match="time cap"):
+        exact_lambda(torus(STRONG, 3, 9), budget=SolveBudget(time_cap=1e-9))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("max_nodes,expected", [(1_000, None), (1_400, 180)])
 def test_workers_share_one_node_budget(workers, max_nodes, expected):
-    # the full count takes 1,355 nodes: 638 + 673 over two workers, then 44
-    # for the id-order search that finds the least labeling
+    # the full count takes 1,311 nodes, 638 + 673 over two workers
     g, budget = grid(STRONG, 4, 4), SolveBudget(max_nodes=max_nodes)
     if expected is None:
         with pytest.raises(BudgetExhausted):
@@ -371,13 +426,15 @@ def _enumerated(case):
 @pytest.mark.parametrize("case", _least_labeling_cases())
 def test_count_returns_the_least_labeling(case, workers):
     # counts assign vertices in _count_order's order, enumeration in id
-    # order; both must find the same labelings, and the count's least
-    # labeling must be the first one enumeration meets
+    # order; both must find the same labelings.  A count returns no
+    # witness: the least labeling is the id-order witness search's, and it
+    # must be the first one enumeration meets
     g, k, extra, count, least = _enumerated(case)
     assert count_labelings(g, k, extra_pairs=extra, workers=workers) == count
     cons = solver.compile_constraints(g, ConstraintParams(), extra)
-    witness, got = solver._search(cons, k, solver._limits(SolveBudget()), workers=workers)
-    assert got == count
+    limits = solver._limits(SolveBudget())
+    assert solver._search(cons, k, limits, workers=workers) == (None, count)
+    witness, _count = solver._search(cons, k, limits, first=True)
     assert witness_tuple(witness) == least
 
 
