@@ -25,7 +25,8 @@ shifting a labeling down to least color 0 keeps every gap, and translating
 a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
 tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
 The pair -> gap map and the translation check are compiled once per public
-call; only the allow tables are rebuilt for each span.
+call; only the allow tables are rebuilt for each span, one set that both
+searches of a race share.
 """
 
 from __future__ import annotations
