@@ -8,7 +8,7 @@ certificate: an explicit labeling where a construction exists, or a
 machine-checked chain of finite facts where one does not.
 """
 
-from lpqcycles import ProductKind, descent_terminal, lambda_cartesian, lambda_strong, torus, validate
+from lpqcycles import ProductKind, lambda_cartesian, lambda_strong, torus, validate
 
 # cartesian: span 4 exactly when gcd >= 3, else span 5
 for m, n in [(40, 45), (42, 42), (41, 40), (43, 40)]:
@@ -18,12 +18,6 @@ for m, n in [(40, 45), (42, 42), (41, 40), (43, 40)]:
 # the span-4 answers carry a validating witness
 res = lambda_cartesian(40, 45)
 print("witness checks out:", validate(torus(ProductKind.CARTESIAN, 40, 45), res.witness) == [])
-
-# the paper's descent subtracts the smaller side from the larger; it
-# preserves gcd and labelings, so the span-5 certificate searches words
-# of length gcd(m, n) directly and the descent is shown for reference
-term = descent_terminal(43, 40)
-print("descent:", " -> ".join(map(str, term.trace)), "terminal", term.kind.value)
 
 # strong: three regimes by divisibility
 for m, n in [(49, 56), (90, 135), (48, 50)]:

@@ -14,7 +14,6 @@ from lpqcycles import (
     exists_cycle_pattern,
     is_diagonal,
     lift_diagonal,
-    reduce_rows,
     torus,
     validate,
     validate_pattern,
@@ -52,9 +51,3 @@ print("diagonal:", is_diagonal(f), " violations:", validate(torus(CART, 3, 6), f
 bad = Pattern((0, 1, 2), (2, 1))
 print("bad word violations:", len(validate_pattern(bad)))
 print("bad lift violations:", len(validate(torus(CART, 3, 6), lift_diagonal(bad, CART, 3, 6))))
-
-# a tall diagonal labeling loses its top rows and stays valid
-tall = lift_diagonal(word3, CART, 12, 3)
-short = reduce_rows(tall)
-print("reduced", tall.shape.rows, "rows to", short.shape.rows, "- still valid:",
-      validate(torus(CART, short.shape.rows, 3), short) == [])

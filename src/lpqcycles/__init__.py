@@ -22,13 +22,11 @@ from .labelings import (
     Labeling,
     Violation,
     ViolationKind,
-    complement,
     constraint_pairs,
     is_diagonal,
     labeling_document,
     labeling_from_document,
     read_labeling,
-    reduce_rows,
     torus_violations,
     validate,
     write_labeling,
@@ -36,10 +34,7 @@ from .labelings import (
 from .lambda_numbers import (
     CertificateKind,
     CheckReport,
-    DescentTerminal,
     LambdaResult,
-    TerminalKind,
-    descent_terminal,
     lambda_cartesian,
     lambda_strong,
     verify_l2211_periodicity,
@@ -50,7 +45,6 @@ from .patterns import (
     Pattern,
     PatternViolation,
     SemigroupDecomposition,
-    canonical_rotation,
     conditions_for,
     exists_cycle_pattern,
     lift_diagonal,
@@ -74,7 +68,6 @@ __all__ = [
     "CertificateKind",
     "CheckReport",
     "ConstraintParams",
-    "DescentTerminal",
     "Digraph",
     "Labeling",
     "LambdaResult",
@@ -85,15 +78,11 @@ __all__ = [
     "ProductShape",
     "SemigroupDecomposition",
     "SolveBudget",
-    "TerminalKind",
     "Violation",
     "ViolationKind",
-    "canonical_rotation",
-    "complement",
     "conditions_for",
     "constraint_pairs",
     "count_labelings",
-    "descent_terminal",
     "enumerate_labelings",
     "exact_lambda",
     "exists_cycle_pattern",
@@ -109,7 +98,6 @@ __all__ = [
     "oriented_path",
     "product",
     "read_labeling",
-    "reduce_rows",
     "semigroup_decompose",
     "torus",
     "torus_violations",

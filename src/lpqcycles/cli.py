@@ -3,7 +3,7 @@
 Subcommands: lambda (span of a product of cycles), construct (build a
 certificate labeling), verify (validate a labeling document), lemmas (run
 the local diagonality checks), pattern (search cyclic patterns), decompose
-(two-generator semigroup membership), descent (row-reduction terminal).
+(two-generator semigroup membership).
 
 Human-readable text goes to standard output; --out writes the JSON
 documents.  Exit codes: 0 success / valid / holds, 1 invalid labeling or
@@ -30,7 +30,6 @@ from .labelings import (
 from .lambda_numbers import (
     CheckReport,
     construction,
-    descent_terminal,
     lambda_cartesian,
     lambda_strong,
     verify_lemma_cartesian_local,
@@ -185,13 +184,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_descent(args: argparse.Namespace) -> int:
-    term = descent_terminal(args.m, args.n)
-    print(" -> ".join(f"({a},{b})" for a, b in term.trace))
-    print(f"terminal: {term.kind.value} rows={term.rows} cols={term.cols}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="lpqcycles",
@@ -246,11 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--gens", default="7,8", help="comma-separated generators")
     p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("descent", help="row-reduction descent terminal")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_descent)
 
     return top
 

@@ -9,7 +9,7 @@ the labeling (a witness need not use the color k).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable
 
@@ -212,55 +212,13 @@ def validate(g: Digraph, f: Labeling, params: ConstraintParams = DEFAULT_PARAMS)
     return out
 
 
-def complement(f: Labeling, k: int) -> Labeling:
-    """Replace every color c by k - c; an involution that preserves validity."""
-    if int(f.colors.max()) > k:
-        raise ValueError(f"colors exceed {k}; cannot complement")
-    return Labeling(k - f.colors, k, f.shape)
-
-
-def _require_torus(f: Labeling) -> ProductShape:
-    if f.shape is None or not f.shape.cyclic:
-        raise ValueError("labeling is not defined on a product of two cycles")
-    return f.shape
-
-
 def is_diagonal(f: Labeling) -> bool:
     """True when f(i, j) = f(i+1 mod m, j-1 mod n) holds at every cell."""
-    shape = _require_torus(f)
+    if f.shape is None or not f.shape.cyclic:
+        raise ValueError("labeling is not defined on a product of two cycles")
     grid = f.color_grid()
     shifted = np.roll(np.roll(grid, -1, axis=0), 1, axis=1)
     return bool((grid == shifted).all())
-
-
-def reduce_rows(f: Labeling, params: ConstraintParams = DEFAULT_PARAMS) -> Labeling:
-    """Restrict a valid diagonal labeling of an m x n torus to its first m - n rows.
-
-    Requires m >= n + 3.  The result is a labeling of the (m-n) x n torus of
-    the same product kind; its validity and diagonality are re-checked rather
-    than assumed, and a failure raises RuntimeError since it would contradict
-    the periodicity argument the restriction rests on.
-    """
-
-    shape = _require_torus(f)
-    m, n = shape.rows, shape.cols
-    if m < n + 3:
-        raise ValueError(f"row reduction needs m >= n + 3, got m={m}, n={n}")
-    if not is_diagonal(f):
-        raise ValueError("labeling is not diagonal")
-    if torus_violations(shape.kind, f.color_grid(), params):
-        raise ValueError("labeling is not valid; refusing to reduce")
-
-    reduced = Labeling(
-        f.color_grid()[: m - n].reshape(-1),
-        f.k_budget,
-        ProductShape(shape.kind, m - n, n, cyclic=True),
-    )
-    if torus_violations(shape.kind, reduced.color_grid(), params) or not is_diagonal(reduced):
-        raise RuntimeError(
-            f"restriction of a valid diagonal labeling to C_{m - n} x C_{n} failed its own check"
-        )
-    return reduced
 
 
 # --- JSON labeling documents -------------------------------------------------

@@ -16,9 +16,8 @@ strong).  A witness lifts the least word at the window span (4 Cartesian,
 on the full torus.  The window has no labeling at span - 1, which floors
 every torus at the window span; a lower bound above it pairs the word
 search's failure with the window identity, which forces every window-span
-torus labeling to lift such a word.  The paper's descent
-(descent_terminal) preserves gcd(m, n), so no certificate needs it.  An
-explicit solve flag hands smaller instances to the exact solver.
+torus labeling to lift such a word.  An explicit solve flag hands smaller
+instances to the exact solver.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .graphs import Digraph, ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
 from .solver import DEFAULT_BUDGET, SolveBudget, _limits, _search, exact_lambda
+
 
 class CertificateKind(Enum):
     CONSTRUCTED = "constructed"
@@ -61,22 +61,6 @@ class LambdaResult:
         return self.lo
 
 
-class TerminalKind(Enum):
-    GCD = "gcd"
-    K_PLUS_1 = "k-plus-1"
-    K_PLUS_2 = "k-plus-2"
-
-
-@dataclass(frozen=True)
-class DescentTerminal:
-    """End state of the row-reduction descent, with the tori passed through."""
-
-    rows: int
-    cols: int
-    kind: TerminalKind
-    trace: tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one check: what ran, whether it holds, what it counted
@@ -98,29 +82,6 @@ class CheckReport:
             "count": self.count,
             "witness": witness,
         }
-
-
-def descent_terminal(m: int, n: int) -> DescentTerminal:
-    """Reduce (m, n) by repeated row restriction until no step applies.
-
-    While the larger side exceeds the smaller by at least 3, replace it by
-    the difference (reordering so rows >= cols).  The terminal difference
-    classifies the end state: 0 lands on the gcd torus, 1 and 2 land on
-    C_{k+1} x C_k and C_{k+2} x C_k.  All intermediate sides stay >= 3.
-    """
-
-    if m < 3 or n < 3:
-        raise ValueError("descent needs cycle sizes m, n >= 3")
-    big, small = (m, n) if m >= n else (n, m)
-    trace = [(big, small)]
-    while big - small >= 3:
-        big -= small
-        if big < small:
-            big, small = small, big
-        trace.append((big, small))
-    diff = big - small
-    kind = (TerminalKind.GCD, TerminalKind.K_PLUS_1, TerminalKind.K_PLUS_2)[diff]
-    return DescentTerminal(big, small, kind, tuple(trace))
 
 
 # per product kind: the side floor of the dichotomy, the window span at

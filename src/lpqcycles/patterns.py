@@ -92,12 +92,6 @@ def validate_pattern(pattern: Pattern) -> list[PatternViolation]:
     return out
 
 
-def canonical_rotation(colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation of a cyclic word."""
-    L = len(colors)
-    return min(tuple(colors[(s + i) % L] for i in range(L)) for s in range(L))
-
-
 @dataclass(frozen=True)
 class SemigroupDecomposition:
     """target = a * m + b * n with a, b >= 0 and minimal b."""

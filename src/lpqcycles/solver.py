@@ -32,6 +32,7 @@ searches of a race share.
 from __future__ import annotations
 
 import heapq
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -407,7 +408,8 @@ def _search(
     Without first or visitor the search counts, in _count_order's order,
     and returns no witness.  Vertex 0 still comes first, so its colors are
     what the pool deals: with workers > 1 a count deals them round-robin
-    over a process pool and sums the parts' counts and nodes; witness
+    into min(workers, k + 1) parts, runs the parts on a process pool of at
+    most os.cpu_count() processes and sums their counts and nodes; witness
     searches and visitor enumeration run in one process.  Nodes are summed
     before the budget check, so exhaustion does not depend on workers.
     Returns (witness, count), where the witness is the least labeling, or
@@ -429,7 +431,7 @@ def _search(
     masks = [mask for mask in masks if mask]
     n_v = cons.n_vertices
     if len(masks) > 1:
-        with ProcessPoolExecutor(max_workers=len(masks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(masks), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_count_part, n_v, fwd, k, mask, limits) for mask in masks]
             parts = [future.result() for future in futures]
         limits.spent += sum(spent for _count, spent in parts)
@@ -545,10 +547,10 @@ def count_labelings(
     greedily the vertex with the most constrained pairs to those already
     placed, which spends a quarter to a third of the nodes on the strong
     window grid.  With workers > 1 the first vertex's colors are
-    partitioned round-robin across processes.  The workers share one
-    budget: their nodes are summed before the budget check and the counts
-    are summed, so both the result and whether the budget runs out are
-    independent of worker count.
+    partitioned round-robin into parts, run on at most os.cpu_count()
+    processes.  The workers share one budget: their nodes are summed
+    before the budget check and the counts are summed, so both the result
+    and whether the budget runs out are independent of worker count.
     """
 
     limits = _limits(budget)

@@ -6,15 +6,33 @@ or search engine: a brute-force assignment filter, a row-transfer DP for
 the 4 x 4 strong grid, a window-transfer feasibility check for cyclic
 patterns, a recursive backtracker for least cyclic words, literal
 semigroup membership, and the paper's hand-built block words.
+
+It also keeps the paper's own reduction, which no certificate of the
+package uses: the descent on torus sides (descent_terminal), the row
+restriction of a diagonal labeling (reduce_rows), and the color
+complement.  These check what the package builds, so they call its
+validator.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from itertools import product as iproduct
 
 import numpy as np
 
-from lpqcycles import Pattern, semigroup_decompose, validate_pattern
+from lpqcycles import (
+    ConstraintParams,
+    Labeling,
+    Pattern,
+    ProductShape,
+    is_diagonal,
+    semigroup_decompose,
+    torus_violations,
+    validate_pattern,
+)
+from lpqcycles.labelings import DEFAULT_PARAMS
 
 
 def pair_gaps(g, p: int = 2, q: int = 1) -> dict[tuple[int, int], int]:
@@ -270,3 +288,81 @@ def concatenated_strong_pattern(length: int) -> Pattern:
     if validate_pattern(pat):
         raise RuntimeError(f"block concatenation for length {length} produced an invalid pattern")
     return pat
+
+
+class TerminalKind(Enum):
+    GCD = "gcd"
+    K_PLUS_1 = "k-plus-1"
+    K_PLUS_2 = "k-plus-2"
+
+
+@dataclass(frozen=True)
+class DescentTerminal:
+    """End state of the row-reduction descent, with the tori passed through."""
+
+    rows: int
+    cols: int
+    kind: TerminalKind
+    trace: tuple[tuple[int, int], ...]
+
+
+def descent_terminal(m: int, n: int) -> DescentTerminal:
+    """Reduce (m, n) by repeated row restriction until no step applies.
+
+    While the larger side exceeds the smaller by at least 3, replace it by
+    the difference (reordering so rows >= cols).  The terminal difference
+    classifies the end state: 0 lands on the gcd torus, 1 and 2 land on
+    C_{k+1} x C_k and C_{k+2} x C_k.  All intermediate sides stay >= 3.
+    """
+
+    if m < 3 or n < 3:
+        raise ValueError("descent needs cycle sizes m, n >= 3")
+    big, small = (m, n) if m >= n else (n, m)
+    trace = [(big, small)]
+    while big - small >= 3:
+        big -= small
+        if big < small:
+            big, small = small, big
+        trace.append((big, small))
+    diff = big - small
+    kind = (TerminalKind.GCD, TerminalKind.K_PLUS_1, TerminalKind.K_PLUS_2)[diff]
+    return DescentTerminal(big, small, kind, tuple(trace))
+
+
+def complement(f: Labeling, k: int) -> Labeling:
+    """Replace every color c by k - c; an involution that preserves validity."""
+    if int(f.colors.max()) > k:
+        raise ValueError(f"colors exceed {k}; cannot complement")
+    return Labeling(k - f.colors, k, f.shape)
+
+
+def reduce_rows(f: Labeling, params: ConstraintParams = DEFAULT_PARAMS) -> Labeling:
+    """Restrict a valid diagonal labeling of an m x n torus to its first m - n rows.
+
+    Requires m >= n + 3.  The result is a labeling of the (m-n) x n torus of
+    the same product kind; its validity and diagonality are re-checked rather
+    than assumed, and a failure raises RuntimeError since it would contradict
+    the periodicity argument the restriction rests on.
+    """
+
+    shape = f.shape
+    if shape is None or not shape.cyclic:
+        raise ValueError("labeling is not defined on a product of two cycles")
+    m, n = shape.rows, shape.cols
+    if m < n + 3:
+        raise ValueError(f"row reduction needs m >= n + 3, got m={m}, n={n}")
+    if not is_diagonal(f):
+        raise ValueError("labeling is not diagonal")
+    if torus_violations(shape.kind, f.color_grid(), params):
+        raise ValueError("labeling is not valid; refusing to reduce")
+
+    reduced = Labeling(
+        f.color_grid()[: m - n].reshape(-1),
+        f.k_budget,
+        ProductShape(shape.kind, m - n, n, cyclic=True),
+    )
+    if torus_violations(shape.kind, reduced.color_grid(), params) or not is_diagonal(reduced):
+        raise RuntimeError(
+            f"restriction of a valid diagonal labeling to C_{m - n} x C_{n} failed its own check"
+        )
+    return reduced

@@ -17,7 +17,6 @@ from lpqcycles import (
     Labeling,
     Pattern,
     ProductKind,
-    complement,
     conditions_for,
     enumerate_labelings,
     exact_lambda,
@@ -27,7 +26,6 @@ from lpqcycles import (
     lift_diagonal,
     oriented_cycle,
     oriented_path,
-    reduce_rows,
     semigroup_decompose,
     torus,
     validate,
@@ -38,10 +36,12 @@ from lpqcycles import (
 )
 from oracles import (
     brute_rows,
+    complement,
     concatenated_strong_pattern,
     cyclic_word_feasible,
     dp_count_strong_grid4,
     l21_cycle_pattern,
+    reduce_rows,
     semigroup_members,
 )
 from test_patterns import equivalence_pool

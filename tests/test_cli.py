@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from math import gcd
@@ -14,7 +15,7 @@ from lpqcycles import (
     lambda_numbers,
     lambda_strong,
 )
-from lpqcycles.cli import main
+from lpqcycles.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -431,7 +432,7 @@ def test_pattern_requires_length_or_scan(capsys):
     assert code == 2 and "needs --length" in err
 
 
-# --- decompose / descent -----------------------------------------------------
+# --- decompose ---------------------------------------------------------------
 
 def test_decompose_output(capsys):
     code, text, _ = run("decompose", "--target", "45", capsys=capsys)
@@ -444,30 +445,33 @@ def test_decompose_output(capsys):
     assert code == 2 and "comma-separated" in err
 
 
-def test_descent_trace_output(capsys):
-    code, text, _ = run("descent", "--m", "43", "--n", "40", capsys=capsys)
-    assert code == 0
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("(43,40) -> (40,3) ->")
-    assert lines[1] == "terminal: k-plus-1 rows=4 cols=3"
-
-
 # --- argparse plumbing -------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    for argv in ([], ["descent", "--m", "43", "--n", "40"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_module_entry_point_runs_in_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "lpqcycles", "descent", "--m", "41", "--n", "40"],
+        [sys.executable, "-m", "lpqcycles", "decompose", "--target", "45"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0
-    assert "k-plus-1" in proc.stdout
+    assert proc.stdout.strip() == "45 = 3*7 + 3*8"
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert lines and all(argv[0] == "lpqcycles" for argv in lines)
+    parser = _build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])

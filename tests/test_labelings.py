@@ -11,7 +11,6 @@ from lpqcycles import (
     ProductKind,
     ProductShape,
     ViolationKind,
-    complement,
     constraint_pairs,
     grid,
     is_diagonal,
@@ -21,13 +20,12 @@ from lpqcycles import (
     oriented_cycle,
     oriented_path,
     read_labeling,
-    reduce_rows,
     torus,
     torus_violations,
     validate,
     write_labeling,
 )
-from oracles import l21_cycle_pattern, pair_gaps
+from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG

@@ -10,9 +10,7 @@ from lpqcycles import (
     Labeling,
     ProductKind,
     SolveBudget,
-    TerminalKind,
     count_labelings,
-    descent_terminal,
     enumerate_labelings,
     exists_labeling,
     grid,
@@ -30,9 +28,11 @@ from lpqcycles import (
 )
 from lpqcycles.cli import main
 from oracles import (
+    TerminalKind,
     brute_rows,
     concatenated_strong_pattern,
     cyclic_word_feasible,
+    descent_terminal,
     dp_count_strong_grid4,
     l21_cycle_pattern,
 )

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from lpqcycles import (
     Pattern,
     ProductKind,
-    canonical_rotation,
     conditions_for,
     exists_cycle_pattern,
     is_diagonal,
@@ -288,22 +287,3 @@ def test_exists_cycle_pattern_guards():
         exists_cycle_pattern(0, 4, (2, 1))
     with pytest.raises(ValueError):
         exists_cycle_pattern(5, -1, (2, 1))
-
-
-# --- canonical rotation ------------------------------------------------------
-
-def test_canonical_rotation_examples():
-    assert canonical_rotation((2, 0, 5, 3, 1, 6, 4)) == (0, 5, 3, 1, 6, 4, 2)
-    assert canonical_rotation((0, 2, 4)) == (0, 2, 4)
-    assert canonical_rotation((4, 0, 2)) == (0, 2, 4)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=9))
-def test_canonical_rotation_is_least_and_idempotent(word):
-    w = tuple(word)
-    canon = canonical_rotation(w)
-    rotations = {tuple(w[(i + s) % len(w)] for i in range(len(w))) for s in range(len(w))}
-    assert canon == min(rotations)
-    assert canonical_rotation(canon) == canon
-    assert canon in rotations

@@ -1,5 +1,6 @@
 import functools
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -358,6 +359,33 @@ def test_parallel_count_invariance(workers):
     g = grid(CART, 3, 3)
     assert count_labelings(g, 4, workers=workers) == 44
     assert count_labelings(g, 4, extra_pairs=[(4, 2, 1)], workers=workers) == 0
+
+
+def test_count_pool_is_capped_at_the_cpu_count(monkeypatch):
+    pools, parts = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            parts.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
+    g = grid(CART, 3, 3)
+    assert count_labelings(g, 5, workers=6) == count_labelings(g, 5)
+    # six parts, one per color of vertex 0, dealt to a pool of two
+    assert pools == [2] and len(parts) == 6
 
 
 def test_parallel_matches_sequential_on_strong_grid():
