@@ -25,10 +25,10 @@ from .labelings import (
     labeling_document,
     torus_violations,
     validate,
-    write_labeling,
 )
 from .lambda_numbers import (
     CheckReport,
+    _DICHOTOMY,
     construction,
     lambda_cartesian,
     lambda_strong,
@@ -36,7 +36,7 @@ from .lambda_numbers import (
     verify_lemma_strong_local,
 )
 from .patterns import conditions_for, exists_cycle_pattern, semigroup_decompose
-from .solver import BudgetExhausted, SolveBudget
+from .solver import DEFAULT_BUDGET, BudgetExhausted, SolveBudget
 
 
 def _budget(args: argparse.Namespace) -> SolveBudget:
@@ -88,12 +88,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     word, f = built
     if args.max_span is not None and f.k_budget > args.max_span:
         raise ValueError(f"construction needs span {f.k_budget} > limit {args.max_span}")
-    if args.format == "json":
-        write_labeling(sys.stdout, f)
-    else:
-        print(_grid_text(f))
+    doc = labeling_document(f, pattern=word.colors)
+    print(json.dumps(doc, indent=1) if args.format == "json" else _grid_text(f))
     if args.out:
-        _write_doc(args.out, labeling_document(f, pattern=word.colors))
+        _write_doc(args.out, doc)
     return 0
 
 
@@ -140,11 +138,12 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
+    kind = ProductKind(args.product)
     if args.conditions:
         conds = tuple(int(c) for c in args.conditions.split(","))
     else:
-        conds = conditions_for(ProductKind(args.product))
-    span = args.span if args.span is not None else (max(conds) * 2)
+        conds = conditions_for(kind)
+    span = _DICHOTOMY[kind][1] if args.span is None else args.span
 
     if args.feasible_up_to is not None:
         feasible = []
@@ -196,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--product", choices=["cartesian", "strong"], required=True)
             p.add_argument("--m", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
-        p.add_argument("--budget-nodes", type=int, default=10**9)
+        p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes)
         p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("lambda", help="span of a product of two oriented cycles")
@@ -225,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="search cyclic color patterns")
     p.add_argument("--length", type=int, default=None)
-    p.add_argument("--span", type=int, default=None)
+    p.add_argument("--span", type=int, default=None,
+                   help="defaults to the --product's window span (4 cartesian, 6 strong)")
     p.add_argument("--conditions", help="comma-separated gaps, e.g. 2,2,1,1")
     p.add_argument("--product", choices=["cartesian", "strong"], default="cartesian",
                    help="defaults --conditions to this product's vector")

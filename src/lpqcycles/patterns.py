@@ -23,6 +23,7 @@ other search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -107,19 +108,20 @@ def semigroup_decompose(target: int, m: int, n: int) -> SemigroupDecomposition |
     """Write target as a*m + b*n, a, b >= 0 not both zero, minimizing b.
 
     Returns None when target is not in the numerical semigroup generated
-    by m and n.  The least b is below m (b - m leaves the same residue), so
-    at most m values of b are tried.
+    by m and n.  With g = gcd(m, n), m divides target - b*n exactly when
+    b*(n/g) = target/g mod m/g, so the least such b is a modular inverse
+    away; target is representable when that b leaves target - b*n >= 0.
     """
 
     if m <= 0 or n <= 0:
         raise ValueError("generators must be positive")
-    if target <= 0:
+    g = gcd(m, n)
+    if target <= 0 or target % g:
         return None
-    for b in range(min(target // n, m - 1) + 1):
-        rest = target - b * n
-        if rest % m == 0:
-            return SemigroupDecomposition(target, m, n, rest // m, b)
-    return None
+    b = target // g * pow(n // g, -1, m // g) % (m // g)
+    if b * n > target:
+        return None
+    return SemigroupDecomposition(target, m, n, (target - b * n) // m, b)
 
 
 def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeling:

@@ -11,13 +11,14 @@ exact_lambda races a witness search in that order against the id-order
 one: the count order proves most infeasible spans far sooner, and the
 witness is always the id-order search's.
 Work is metered in search nodes (one node per attempted color
-assignment); exhausting the budget raises BudgetExhausted, a third
-outcome distinct from "no labeling".  The backtracker (_run) is a
-generator that pauses every 4096 nodes, and one driver (_drive) resumes
-it, polls the budget at each pause and takes the two searches of a race
-in turn.  A budget limits a whole public call: every span exact_lambda
-tries, both searches of a race and every worker of a parallel count draw
-on the same nodes and deadline.
+assignment) and in nothing else: the solver reads no clock, so whether a
+budget runs out depends only on the input.  Exhausting the budget raises
+BudgetExhausted, a third outcome distinct from "no labeling".  The
+backtracker (_run) is a generator that pauses every 4096 nodes, and one
+driver (_drive) resumes it, polls the budget at each pause and takes the
+two searches of a race in turn.  A budget limits a whole public call:
+every span exact_lambda tries, both searches of a race and every worker
+of a parallel count draw on the same nodes.
 
 A witness search on a graph whose constrained pairs translations preserve
 (tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
@@ -46,23 +46,20 @@ from .labelings import ConstraintParams, DEFAULT_PARAMS, Labeling, constraint_pa
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Limits on one engine run: search nodes and, optionally, wall time."""
+    """Limit on one engine run, counted in search nodes only."""
 
     max_nodes: int = 10**9
-    time_cap: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
 
 
 DEFAULT_BUDGET = SolveBudget()
 
 
 class BudgetExhausted(RuntimeError):
-    """Search ran out of nodes or time before reaching an answer."""
+    """Search ran out of nodes before reaching an answer."""
 
     def __init__(self, message: str, nodes: int) -> None:
         super().__init__(message)
@@ -221,17 +218,15 @@ def _forward(
 
 @dataclass
 class _Limits:
-    """What one public call may still spend: the node cap, the nodes spent
-    so far, and an absolute deadline on the monotonic clock."""
+    """What one public call may still spend: the node cap and the nodes
+    spent so far."""
 
     max_nodes: int
-    deadline: float | None
     spent: int = 0
 
 
 def _limits(budget: SolveBudget) -> _Limits:
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    return _Limits(budget.max_nodes, deadline)
+    return _Limits(budget.max_nodes)
 
 
 # nodes a search spends between two budget polls, and the turn each search
@@ -321,8 +316,7 @@ def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] |
     its (witness, count) when the search ends, else None.
 
     The slice ends at the node past max_nodes if that comes first, so
-    exhaustion raises there, with exactly max_nodes + 1 nodes spent; the
-    deadline is polled at every pause.
+    exhaustion raises there, with exactly max_nodes + 1 nodes spent.
     """
 
     try:
@@ -333,8 +327,6 @@ def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] |
         return witness, count
     if limits.spent > limits.max_nodes:
         raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
-    if limits.deadline is not None and time.monotonic() > limits.deadline:
-        raise BudgetExhausted("time cap exceeded", limits.spent)
     return None
 
 
@@ -476,12 +468,11 @@ def exact_lambda(
     g: Digraph,
     params: ConstraintParams = DEFAULT_PARAMS,
     budget: SolveBudget = DEFAULT_BUDGET,
-    k_max: int | None = None,
 ) -> LambdaWitness:
     """Smallest k admitting a k-L(p,q)-labeling of g, with its least witness.
 
-    Tries k = 0, 1, 2, ..., all under one budget: the nodes and time spent
-    on every span count against it.  The constraints and the count order
+    Tries k = 0, 1, 2, ..., all under one budget: the nodes spent on every
+    span count against it.  The constraints and the count order
     (see count_labelings) are built once for the whole scan.  Each span
     runs exists_labeling's id-order search and a witness search in the
     count order in turn, 4096 nodes at a time, the count order first.  A
@@ -491,23 +482,22 @@ def exact_lambda(
     settles the span.  The count order proves most infeasible spans far
     sooner, and a span costs at most twice the id-order nodes plus one
     slice of 4096.  Where the count order is id order (Cartesian tori)
-    there is one search.  Every graph is satisfiable at
-    (n - 1) * max(p, q), which bounds the scan; a k_max below the true
-    value raises RuntimeError rather than returning a wrong answer.
+    there is one search.  Every graph has a labeling at span
+    (n - 1) * max(p, q) (color vertex i with i * max(p, q)), so the scan
+    ends by that span; exists_labeling(g, k) answers whether the span is
+    at most k.
     """
 
-    ceiling = (g.n_vertices - 1) * max(params.p, params.q)
-    if k_max is None:
-        k_max = ceiling
     limits = _limits(budget)
     cons = compile_constraints(g, params)
     order = _count_order(cons)
     rival_order = None if order == list(range(cons.n_vertices)) else order
-    for k in range(min(k_max, ceiling) + 1):
+    k = 0
+    while True:
         f, _count = _search(cons, k, limits, first=True, rival_order=rival_order)
         if f is not None:
             return LambdaWitness(k, f)
-    raise RuntimeError(f"no labeling with span <= {k_max}; k_max is too small")
+        k += 1
 
 
 def enumerate_labelings(
@@ -541,16 +531,16 @@ def count_labelings(
 ) -> int:
     """Number of k-L(p,q)-labelings satisfying the extra constraints too.
 
-    The workhorse behind the identity verifiers: adding an extra pair
-    (u, v, 1) counts exactly the labelings with f(u) != f(v).  A count
-    does not assign vertices in id order: vertex 0 comes first, then
-    greedily the vertex with the most constrained pairs to those already
-    placed, which spends a quarter to a third of the nodes on the strong
-    window grid.  With workers > 1 the first vertex's colors are
-    partitioned round-robin into parts, run on at most os.cpu_count()
-    processes.  The workers share one budget: their nodes are summed
-    before the budget check and the counts are summed, so both the result
-    and whether the budget runs out are independent of worker count.
+    Adding an extra pair (u, v, 1) counts exactly the labelings with
+    f(u) != f(v).  A count does not assign vertices in id order: vertex 0
+    comes first, then greedily the vertex with the most constrained pairs
+    to those already placed, which spends a quarter to a third of the
+    nodes on the strong window grid.  With workers > 1 the first vertex's
+    colors are partitioned round-robin into parts, run on at most
+    os.cpu_count() processes.  The workers share one budget: their nodes
+    are summed before the budget check and the counts are summed, so both
+    the result and whether the budget runs out are independent of worker
+    count.
     """
 
     limits = _limits(budget)

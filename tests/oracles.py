@@ -246,6 +246,17 @@ def semigroup_members(m: int, n: int, limit: int) -> set[int]:
     return out
 
 
+def semigroup_least_b(target: int, m: int, n: int) -> tuple[int, int] | None:
+    """(a, b) with target = a*m + b*n, a, b >= 0 and b least, by trying
+    b = 0, 1, ... in turn; None when there is none or target <= 0."""
+    if target <= 0:
+        return None
+    for b in range(target // n + 1):
+        if (target - b * n) % m == 0:
+            return (target - b * n) // m, b
+    return None
+
+
 def l21_cycle_pattern(d: int) -> Pattern:
     """Span-4 pattern of length d for conditions (2, 1), built from blocks.
 

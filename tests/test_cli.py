@@ -161,6 +161,17 @@ def test_construct_json_format(capsys):
     assert len(doc["labels"]) == 42 and all(len(row) == 42 for row in doc["labels"])
 
 
+def test_construct_json_stdout_is_the_out_document(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code, text, _ = run(
+        "construct", "--product", "strong", "--m", "49", "--n", "49",
+        "--format", "json", "--out", str(out), capsys=capsys,
+    )
+    assert code == 0
+    assert text == out.read_text()
+    assert json.loads(text)["pattern"] == [0, 2, 4, 6, 1, 3, 5] * 7
+
+
 def test_construct_refuses_when_no_lift_exists(capsys):
     code, _, err = run(
         "construct", "--product", "cartesian", "--m", "41", "--n", "40",
@@ -369,6 +380,12 @@ def test_pattern_search_long_word(capsys):
     assert text.split() == ["0", "2", "4"] * 500
 
 
+def test_pattern_span_defaults_to_the_window_span(capsys):
+    # strong words need span 6; --conditions 2,1 keeps the Cartesian 4
+    code, text, _ = run("pattern", "--product", "strong", "--length", "7", capsys=capsys)
+    assert (code, text) == (0, "0 2 4 6 1 3 5\n")
+
+
 def test_pattern_search_none_is_exit_1(capsys):
     code, text, _ = run(
         "pattern", "--length", "4", "--product", "strong", "--span", "6",
@@ -433,6 +450,20 @@ def test_pattern_requires_length_or_scan(capsys):
 
 
 # --- decompose ---------------------------------------------------------------
+
+def test_decompose_large_generators_answers_at_once():
+    # the least b is 999,999,999,999: trying b one at a time never ends
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpqcycles", "decompose",
+         "--target", "11999999999993", "--gens", "1000000000000,7"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "11999999999993 = 5*1000000000000 + 999999999999*7\n"
+
 
 def test_decompose_output(capsys):
     code, text, _ = run("decompose", "--target", "45", capsys=capsys)

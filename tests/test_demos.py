@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and
+README's Quick start prints what its comments say."""
 
 import os
 import subprocess
@@ -26,3 +27,14 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["6", "6 constructed", "[]"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -18,6 +18,7 @@ from oracles import (
     cyclic_word_feasible,
     l21_cycle_pattern,
     least_cyclic_word,
+    semigroup_least_b,
     semigroup_members,
 )
 
@@ -117,8 +118,7 @@ def test_semigroup_decompose_examples():
     assert semigroup_decompose(39, 5, 11) is None
     assert semigroup_decompose(42, 7, 8).b == 0
     assert semigroup_decompose(0, 7, 8) is None
-    # generators sharing a factor the target lacks: at most m values of b
-    # are tried, so this returns at once
+    # generators sharing a factor the target lacks: ruled out by the gcd
     assert semigroup_decompose(10**12 + 1, 2, 4) is None
     with pytest.raises(ValueError):
         semigroup_decompose(10, 0, 8)
@@ -137,6 +137,15 @@ def test_semigroup_decompose_matches_brute_membership(m, n):
                 assert (t - b * n) % m != 0 or t - b * n < 0
         else:
             assert dec is None
+
+
+def test_semigroup_decompose_matches_brute_least_b():
+    for m in range(1, 16):
+        for n in range(1, 16):
+            for t in range(-2, 300):
+                dec = semigroup_decompose(t, m, n)
+                got = None if dec is None else (dec.a, dec.b)
+                assert got == semigroup_least_b(t, m, n), (t, m, n)
 
 
 # --- lifts -------------------------------------------------------------------
