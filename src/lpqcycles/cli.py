@@ -116,19 +116,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ValueError("--parallel must be positive")
     runs = []
     if args.which in ("cartesian-local", "all"):
-        runs.append(
-            verify_lemma_cartesian_local(
-                span=args.span, workers=args.parallel, budget=_budget(args)
-            )
-        )
+        runs.append(verify_lemma_cartesian_local(span=args.span, budget=_budget(args)))
     if args.which in ("strong-local", "all"):
-        runs.append(
-            verify_lemma_strong_local(
-                span=args.span, workers=args.parallel, budget=_budget(args)
-            )
-        )
+        runs.append(verify_lemma_strong_local(span=args.span, budget=_budget(args)))
     for rep in runs:
         print(f"{rep.check}: holds={str(rep.holds).lower()} labelings={rep.count}")
     if args.out:
@@ -218,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["cartesian-local", "strong-local", "all"],
                    default="all")
     p.add_argument("--span", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
+    p.add_argument("--parallel", type=int, default=1, metavar="WORKERS",
+                   help="no-op: must be at least 1; every check runs in this "
+                        "process (kept until bench/ stops passing it)")
     add_common(p, product=False)
     p.set_defaults(fn=_cmd_lemmas)
 

@@ -113,13 +113,12 @@ def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
 
 
 # cached per process: these enumerations back every dichotomy dispatch.
-# The budget is part of the key, so a cached answer never stands in for a
-# call whose own budget would run out.  The public wrappers resolve a
-# missing span first, so they share the dispatch's entries.
+# The key is (kind, span, budget).  The budget is part of it, so a cached
+# answer never stands in for a call whose own budget would run out.  The
+# public wrappers resolve a missing span first, so they and CLI lemmas
+# share the dispatch's entries.
 @cache
-def _verify_local(
-    kind: ProductKind, span: int, workers: int, budget: SolveBudget
-) -> CheckReport:
+def _verify_local(kind: ProductKind, span: int, budget: SolveBudget) -> CheckReport:
     g, u, v = _local_identity(kind)
     # the two counts, and the search for the least labeling that breaks the
     # identity (the counterexample) when there is one, spend one budget
@@ -127,37 +126,39 @@ def _verify_local(
     # compiled through the module, where bench/spans.py times the call
     plain = solver.compile_constraints(g, DEFAULT_PARAMS)
     differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
-    _w, total = _search(plain, span, limits, workers=workers)
-    _w, bad = _search(differ, span, limits, workers=workers)
+    _w, total = _search(plain, span, limits)
+    _w, bad = _search(differ, span, limits)
     witness = _search(differ, span, limits, first=True)[0] if bad else None
     name = f"{kind.value}-local-diagonality-span-{span}"
     return CheckReport(name, bad == 0, total, witness)
 
 
 def verify_lemma_cartesian_local(
-    span: int | None = None, workers: int = 1, budget: SolveBudget = DEFAULT_BUDGET
+    span: int | None = None, budget: SolveBudget = DEFAULT_BUDGET
 ) -> CheckReport:
     """Check that every span-4 labeling of the 3 x 3 Cartesian path grid
     satisfies f(1, 1) = f(0, 2), by enumerating all of them.
 
-    No symmetry reduction is used; count is the full number of labelings.
-    A different span probes the same identity where it is not expected to
-    hold (at 5 a counterexample exists and is returned).
+    No symmetry reduction is used; count is the full number of labelings,
+    counted in this process.  A different span probes the same identity
+    where it is not expected to hold (at 5 a counterexample exists and is
+    returned).  Reports are cached with the dispatch's, per span and
+    budget.
     """
 
     span = _DICHOTOMY[ProductKind.CARTESIAN][1] if span is None else span
-    return _verify_local(ProductKind.CARTESIAN, span, workers, budget)
+    return _verify_local(ProductKind.CARTESIAN, span, budget)
 
 
 def verify_lemma_strong_local(
-    span: int | None = None, workers: int = 1, budget: SolveBudget = DEFAULT_BUDGET
+    span: int | None = None, budget: SolveBudget = DEFAULT_BUDGET
 ) -> CheckReport:
     """Check that every span-6 labeling of the 4 x 4 strong path grid
     satisfies f(1, 2) = f(2, 1), replacing a by-hand case split with
     exhaustive search.  See verify_lemma_cartesian_local."""
 
     span = _DICHOTOMY[ProductKind.STRONG][1] if span is None else span
-    return _verify_local(ProductKind.STRONG, span, workers, budget)
+    return _verify_local(ProductKind.STRONG, span, budget)
 
 
 def verify_l2211_periodicity(d_max: int) -> dict[int, Pattern]:
@@ -239,14 +240,14 @@ def _dichotomy(
 
     # a torus labeling restricts to a labeling of every window, so a window
     # with no labeling at span - 1 puts the torus span at span or above
-    if _verify_local(kind, span - 1, 1, budget).count:
+    if _verify_local(kind, span - 1, budget).count:
         raise RuntimeError(f"grid floor below {span}: the window has span-{span - 1} labelings")
     _word, f = construction(kind, m, n, budget) or (None, None)
     if f is not None and f.k_budget <= span:
         window = _local_identity(kind)[0].shape
         lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
     else:
-        lemma = _verify_local(kind, span, 1, budget)
+        lemma = _verify_local(kind, span, budget)
         if not lemma.holds:
             raise RuntimeError("local diagonality identity failed; dichotomy unsound")
         # every span-`span` labeling is diagonal, so it lifts a word of

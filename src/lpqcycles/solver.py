@@ -16,9 +16,9 @@ budget runs out depends only on the input.  Exhausting the budget raises
 BudgetExhausted, a third outcome distinct from "no labeling".  The
 backtracker (_run) is a generator that pauses every 4096 nodes, and one
 driver (_drive) resumes it, polls the budget at each pause and takes the
-two searches of a race in turn.  A budget limits a whole public call:
-every span exact_lambda tries, both searches of a race and every worker
-of a parallel count draw on the same nodes.
+two searches of a race in turn; every search runs in the calling process.
+A budget limits a whole public call: every span exact_lambda tries and
+both searches of a race draw on the same nodes.
 
 A witness search on a graph whose constrained pairs translations preserve
 (tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
@@ -33,8 +33,6 @@ searches of a race share.
 from __future__ import annotations
 
 import heapq
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
 
@@ -64,10 +62,6 @@ class BudgetExhausted(RuntimeError):
     def __init__(self, message: str, nodes: int) -> None:
         super().__init__(message)
         self.nodes = nodes
-
-    def __reduce__(self):
-        # a worker's exhaustion is pickled back to the parent process
-        return type(self), (str(self), self.nodes)
 
 
 @dataclass(frozen=True)
@@ -358,28 +352,12 @@ def _drive(
             return end
 
 
-def _count_part(
-    n_v: int,
-    fwd: list[list[tuple[int, tuple[int, ...]]]],
-    k: int,
-    cand0: int,
-    limits: _Limits,
-) -> tuple[int, int]:
-    """One pool worker's share of a count, driven in the worker under its
-    copy of the call's limits.  Returns the count and the nodes spent."""
-
-    spent = limits.spent
-    _witness, count = _drive(_run(n_v, fwd, k, cand0, False), limits)
-    return count, limits.spent - spent
-
-
 def _search(
     cons: _Constraints,
     k: int,
     limits: _Limits,
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
-    workers: int = 1,
     rival_order: list[int] | None = None,
 ) -> tuple[Labeling | None, int]:
     """The one search behind every public entry point.
@@ -398,12 +376,7 @@ def _search(
     search finds a witness exactly when the span has one.
 
     Without first or visitor the search counts, in _count_order's order,
-    and returns no witness.  Vertex 0 still comes first, so its colors are
-    what the pool deals: with workers > 1 a count deals them round-robin
-    into min(workers, k + 1) parts, runs the parts on a process pool of at
-    most os.cpu_count() processes and sums their counts and nodes; witness
-    searches and visitor enumeration run in one process.  Nodes are summed
-    before the budget check, so exhaustion does not depend on workers.
+    and returns no witness.  Every search runs in the calling process.
     Returns (witness, count), where the witness is the least labeling, or
     None when there is none or the search did not look for one, and
     charges the nodes spent to limits.
@@ -411,29 +384,16 @@ def _search(
 
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     counting = not first and visitor is None
     tables = _allow_tables(cons, k)
     fwd = _forward(cons, tables, _count_order(cons) if counting else None)
     top = (0 if cons.transitive else k // 2) if first else k
-    masks = [0] * (workers if counting else 1)
-    for c in range(top + 1):
-        masks[c % len(masks)] |= 1 << c
-    masks = [mask for mask in masks if mask]
+    cand0 = (1 << (top + 1)) - 1
     n_v = cons.n_vertices
-    if len(masks) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(masks), os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_count_part, n_v, fwd, k, mask, limits) for mask in masks]
-            parts = [future.result() for future in futures]
-        limits.spent += sum(spent for _count, spent in parts)
-        if limits.spent > limits.max_nodes:
-            raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
-        return None, sum(count for count, _spent in parts)
     rival = None
     if rival_order is not None:
-        rival = _run(n_v, _forward(cons, tables, rival_order), k, masks[0], True)
-    witness, count = _drive(_run(n_v, fwd, k, masks[0], first, visitor), limits, rival)
+        rival = _run(n_v, _forward(cons, tables, rival_order), k, cand0, True)
+    witness, count = _drive(_run(n_v, fwd, k, cand0, first, visitor), limits, rival)
     if witness is None:
         return None, count
     return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count
@@ -535,15 +495,15 @@ def count_labelings(
     f(u) != f(v).  A count does not assign vertices in id order: vertex 0
     comes first, then greedily the vertex with the most constrained pairs
     to those already placed, which spends a quarter to a third of the
-    nodes on the strong window grid.  With workers > 1 the first vertex's
-    colors are partitioned round-robin into parts, run on at most
-    os.cpu_count() processes.  The workers share one budget: their nodes
-    are summed before the budget check and the counts are summed, so both
-    the result and whether the budget runs out are independent of worker
-    count.
+    nodes on the strong window grid.  Every count runs in the calling
+    process.  workers is a no-op: it must be at least 1 and changes
+    nothing.  It stays only because bench/ still passes it, and goes with
+    the bench edits of ROADMAP item 1.
     """
 
+    if workers < 1:
+        raise ValueError("workers must be positive")
     limits = _limits(budget)
     cons = compile_constraints(g, params, extra_pairs)
-    _witness, count = _search(cons, k, limits, workers=workers)
+    _witness, count = _search(cons, k, limits)
     return count

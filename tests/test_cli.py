@@ -102,7 +102,7 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
-    # a worker's exhaustion crosses the process pool
+    # --parallel is a no-op and leaves the budget to run out as without it
     code, _, err = run(
         "lemmas", "--parallel", "2", "--budget-nodes", "10", capsys=capsys,
     )
@@ -355,12 +355,32 @@ def test_lemmas_counterexample_is_exit_1(tmp_path, capsys):
 
 
 def test_lemmas_parallel_same_counts(capsys):
-    # reports are cached per worker count too; start cold so the pool runs
+    # start cold so --parallel 2 runs the counts rather than a cached report
     lambda_numbers._verify_local.cache_clear()
     code, text, _ = run(
         "lemmas", "--which", "cartesian-local", "--parallel", "2", capsys=capsys
     )
     assert code == 0 and "labelings=44" in text
+
+
+def test_lemmas_parallel_shares_the_dispatch_cache(capsys):
+    # --parallel is not part of the cache key: the window report that the
+    # dispatch of a non-multiple-of-7 strong torus counted answers the CLI
+    lambda_numbers._verify_local.cache_clear()
+    lambda_strong(48, 50)
+    hits = lambda_numbers._verify_local.cache_info().hits
+    code, text, _ = run(
+        "lemmas", "--which", "strong-local", "--parallel", "2", capsys=capsys
+    )
+    assert code == 0 and "labelings=180" in text
+    assert lambda_numbers._verify_local.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_lemmas_parallel_below_one_is_usage_error(capsys, workers):
+    code, text, err = run("lemmas", "--parallel", workers, capsys=capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # --- pattern -----------------------------------------------------------------
@@ -496,6 +516,24 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "45 = 3*7 + 3*8"
+
+
+def test_import_loads_no_process_machinery():
+    # every search runs in the calling process, so the CLI never pays for
+    # importing a process pool
+    code = (
+        "import sys, lpqcycles.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_readme_command_lines_parse():
