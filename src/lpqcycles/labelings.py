@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
@@ -144,22 +145,42 @@ def torus_violations(
 ) -> list[Violation]:
     """validate on C_m x C_n for a labeling given as its m x n color grid.
 
-    Compares the grid with one np.roll of itself per stencil offset, so no
-    graph or pair map is built; the result equals validate's on the torus.
+    No graph or pair map is built.  The grid is copied once into a buffer
+    that wraps it past its bottom and right edges by the largest folded
+    row and column offset of the stencil (2 when both sides are at least
+    5, up to a side - 1 on smaller tori), and compared with one view of
+    that buffer per offset.  A grid with no violated offset returns []
+    before any pair is listed; the result equals validate's on the torus.
     """
 
     grid = np.asarray(grid)
     m, n = grid.shape
     if m < 3 or n < 3:
         raise ValueError(f"a torus needs both sides >= 3, got {m}x{n}")
+    dtype = grid.dtype
     if -(2**14) < grid.min() and grid.max() < 2**14:
         # every difference fits int16, which moves a quarter of int64's bytes
-        grid = grid.astype(np.int16)
+        dtype = np.int16
     stencil = list(_stencil(kind, m, n, params).items())
-    parts = []
+    pad_i = max(di for (di, _), _ in stencil)
+    pad_j = max(dj for (_, dj), _ in stencil)
+    ext = np.empty((m + pad_i, n + pad_j), dtype)
+    ext[:m, :n] = grid
+    ext[:m, n:] = ext[:m, :pad_j]
+    ext[m:] = ext[:pad_i]
+    grid = ext[:m, :n]
+    diff, mask = np.empty_like(grid), np.empty(grid.shape, dtype=bool)
+    found = []
     for idx, ((di, dj), (gap, _)) in enumerate(stencil):
-        partner = np.roll(grid, (-di, -dj), axis=(0, 1))
-        u = np.flatnonzero(np.abs(grid - partner) < gap)
+        np.subtract(grid, ext[di:di + m, dj:dj + n], out=diff)
+        np.less(np.abs(diff, out=diff), gap, out=mask)
+        if mask.any():
+            found.append((idx, np.flatnonzero(mask)))
+    if not found:
+        return []
+    parts = []
+    for idx, u in found:
+        di, dj = stencil[idx][0]
         i, j = np.divmod(u, n)
         w = (i + di) % m * n + (j + dj) % n
         if (2 * di % m, 2 * dj % n) == (0, 0):
@@ -177,21 +198,41 @@ def torus_violations(
     return out
 
 
+def _is_torus(g: Digraph) -> bool:
+    """True when g carries a cyclic ProductShape and every vertex has
+    exactly the out-neighbours torus(kind, rows, cols) gives it."""
+    shape = g.shape
+    if shape is None or not shape.cyclic or g.n_vertices != shape.rows * shape.cols:
+        return False
+    m, n = shape.rows, shape.cols
+    i, j = np.divmod(np.arange(m * n), n)
+    want = [(i + 1) % m * n + j, i * n + (j + 1) % n]
+    if shape.kind is ProductKind.STRONG:
+        want.append((i + 1) % m * n + (j + 1) % n)
+    if set(map(len, g.out_edges)) != {len(want)}:
+        return False
+    have = np.fromiter(chain.from_iterable(g.out_edges), dtype=np.int64).reshape(m * n, -1)
+    # no parallel edges, so equal sorted rows are equal neighbour sets
+    return bool((np.sort(have, axis=1) == np.sort(np.stack(want, axis=1), axis=1)).all())
+
+
 def validate(g: Digraph, f: Labeling, params: ConstraintParams = DEFAULT_PARAMS) -> list[Violation]:
     """All violated constraints of f on g, in lexicographic pair order.
 
     Empty result means f is a valid k-L(p,q)-labeling at its declared budget.
-    Each violated pair is reported exactly once.  A graph with a cyclic
-    ProductShape (as torus and product attach) is checked through the
-    offset stencil of torus_violations, with f's colors read in g's grid
-    order; any other graph goes through its constraint_pairs.
+    Each violated pair is reported exactly once.  A graph whose
+    out-neighbours are exactly those of the torus its cyclic ProductShape
+    names (as torus and product attach) is checked through the offset
+    stencil of torus_violations, with f's colors read in g's grid order.
+    Any other graph goes through its constraint_pairs, including one that
+    carries a cyclic shape without being that torus.
     """
 
     if f.n_vertices != g.n_vertices:
         raise ValueError(
             f"labeling covers {f.n_vertices} vertices but graph has {g.n_vertices}"
         )
-    if g.shape is not None and g.shape.cyclic:
+    if _is_torus(g):
         grid = f.colors.reshape(g.shape.rows, g.shape.cols)
         return torus_violations(g.shape.kind, grid, params)
     pairs = constraint_pairs(g, params)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .graphs import Digraph, ProductKind, ProductShape
 from .labelings import ConstraintParams, Labeling
@@ -128,14 +129,19 @@ def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeli
     """Lift a pattern to the m x n torus along anti-diagonals.
 
     f(i, j) = g((i + j) mod L); defined whenever L divides both m and n.
-    The budget of the lifted labeling is the pattern's span.
+    The L x L block of one period is read off the word once and tiled to
+    m x n, so no m x n index array is built.  The budget of the lifted
+    labeling is the pattern's span.
     """
 
     L = pattern.length
     if m % L or n % L:
         raise ValueError(f"pattern length {L} must divide both {m} and {n}")
-    word = np.array(pattern.colors, dtype=np.int64)
-    grid = word[(np.arange(m)[:, None] + np.arange(n)[None, :]) % L]
+    # the word twice over, read with stride one per row and per column,
+    # is the L x L block word[(i + j) mod L] without an index array
+    twice = np.array(pattern.colors * 2, dtype=np.int64)
+    block = as_strided(twice, (L, L), twice.strides * 2)
+    grid = np.tile(block, (m // L, n // L))
     return Labeling(grid.reshape(-1), pattern.span, ProductShape(kind, m, n, cyclic=True))
 
 

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from lpqcycles import (
     Labeling,
     ProductKind,
     ProductShape,
+    Violation,
     ViolationKind,
     constraint_pairs,
+    exists_cycle_pattern,
     grid,
     is_diagonal,
     labeling_document,
@@ -25,6 +28,7 @@ from lpqcycles import (
     validate,
     write_labeling,
 )
+from lpqcycles.labelings import DEFAULT_PARAMS, _stencil
 from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows
 
 CART = ProductKind.CARTESIAN
@@ -129,6 +133,179 @@ def test_torus_stencil_matches_generic_path(kind, m):
                 assert want
                 assert validate(g, f, params) == want
                 assert torus_violations(kind, colors.reshape(m, n), params) == want
+
+
+def lift_conditions(kind, params):
+    """The word conditions under which a diagonal lift satisfies params:
+    an edge joins cells one or (strong diagonal) two anti-diagonals apart,
+    a two-step pair cells two to four apart."""
+    p, q = params.p, params.q
+    return (p, q) if kind is CART else (p, max(p, q), q, q)
+
+
+def least_lift_word(kind, L, params):
+    """The least word of length L at the least span whose lift satisfies
+    params, or None when no span up to 40 has one."""
+    conds = lift_conditions(kind, params)
+    return next((w for span in range(41)
+                 if (w := exists_cycle_pattern(L, span, conds)) is not None), None)
+
+
+def assert_agrees_with_generic_path(kind, grid_, params, k):
+    """torus_violations and validate on the torus, against validate on a
+    shape-less copy of the same graph; returns the common result."""
+    m, n = grid_.shape
+    g = torus(kind, m, n)
+    plain = Digraph(g.n_vertices, g.out_edges)
+    f = lab(grid_.reshape(-1), k, g.shape)
+    want = validate(plain, f, params)
+    assert validate(g, f, params) == want
+    assert torus_violations(kind, grid_, params) == want
+    return want
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_torus_stencil_matches_generic_path_on_valid_lifts(kind):
+    """The early return for a clean grid against the generic path: lifts of
+    least words on every torus with sides 3..12 and a common divisor L >= 3,
+    each valid, then each with one cell recolored."""
+    rng = np.random.default_rng(17)
+    lifts = 0
+    for p, q in [(2, 1), (1, 2), (0, 1), (3, 3)]:
+        params = ConstraintParams(p, q)
+        for m in range(3, 13):
+            for n in range(3, 13):
+                for L in range(3, gcd(m, n) + 1):
+                    if m % L or n % L:
+                        continue
+                    word = least_lift_word(kind, L, params)
+                    if word is None:
+                        continue
+                    f = lift_diagonal(word, kind, m, n)
+                    colors = f.color_grid().copy()
+                    assert assert_agrees_with_generic_path(kind, colors, params, word.span) == []
+                    i, j = rng.integers(0, m), rng.integers(0, n)
+                    colors[i, j] = (colors[i, j] + 1 + rng.integers(0, word.span + 1)) % (word.span + 2)
+                    assert_agrees_with_generic_path(kind, colors, params, word.span + 1)
+                    lifts += 1
+    assert lifts > 50
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("values", [
+    (0, 2**14 - 1),  # int16 differences, up to 2**14 - 1
+    (0, 2**14 - 2, 2**15 - 2),  # shifted, int64: 2**15 - 2 is not below 2**14
+    (0, 2**14),  # just past the int16 cutoff
+    (0, 2**15, 2**16),  # differences above int16's range
+])
+@pytest.mark.parametrize("params", [
+    ConstraintParams(2, 1), ConstraintParams(2**14 - 1, 1), ConstraintParams(2**14, 2**14 - 1),
+    ConstraintParams(40000, 1),  # a gap no int16 difference reaches
+])
+def test_torus_violations_edge_colors_match_generic_path(kind, values, params):
+    rng = np.random.default_rng(len(values))
+    for m, n in [(5, 6), (7, 5)]:
+        colors = rng.choice(np.array(values), size=(m, n))
+        assert_agrees_with_generic_path(kind, colors, params, max(values))
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_torus_violations_negative_colors_at_the_int16_cutoff(kind):
+    """A raw grid may hold negative colors, which no Labeling does: colors
+    at +-(2**14 - 1) take int16 differences, at +-2**14 int64 ones.  The
+    generic path sees the grid shifted to start at 0, which moves no gap."""
+    rng = np.random.default_rng(14)
+    for top in (2**14 - 1, 2**14):
+        for params in [ConstraintParams(2**15 - 2, 1), ConstraintParams(2**15, 1),
+                       ConstraintParams(40000, 2**14)]:
+            colors = rng.choice(np.array([-top, 0, top]), size=(6, 5))
+            shifted = colors + top
+            want = [
+                Violation(v.kind, v.pair, (v.labels[0] - top, v.labels[1] - top), v.required)
+                for v in assert_agrees_with_generic_path(kind, shifted, params, 2 * top)
+            ]
+            assert want
+            assert torus_violations(kind, colors, params) == want
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("top", [4, 2**14])
+def test_torus_violations_reads_a_non_contiguous_grid(kind, top):
+    rng = np.random.default_rng(top)
+    base = rng.integers(0, top + 1, size=(14, 6))
+    for colors in (base.T, base[::2].T[:, ::-1]):  # 6 x 14 and 6 x 7 views
+        assert not colors.flags.c_contiguous
+        got = torus_violations(kind, colors, ConstraintParams(2, 1))
+        assert got == assert_agrees_with_generic_path(
+            kind, np.ascontiguousarray(colors), ConstraintParams(2, 1), top)
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("m,n", [(3, 7), (3, 11), (11, 3), (4, 9), (9, 4), (3, 3), (4, 4)])
+def test_torus_violations_pads_past_two_on_small_sides(kind, m, n):
+    """With 3 rows a strong (2, 1) folds to (1, n - 1), so the wrap pad is
+    n - 1 columns wide; the other shapes keep offsets of at most 2."""
+    params = ConstraintParams(2, 1)
+    reach = max(max(offset) for offset in _stencil(kind, m, n, params))
+    if kind is STRONG and m == 3:
+        assert reach == n - 1
+    else:
+        assert reach <= 2
+    rng = np.random.default_rng(m * n)
+    for trial in range(20):
+        colors = rng.integers(0, 9 if trial % 2 else 30, size=(m, n))
+        assert_agrees_with_generic_path(kind, colors, params, 30)
+
+
+def test_validate_checks_a_torus_shape_against_the_graph():
+    """A cyclic shape on a graph that is not that torus routes to the pair
+    map: the oriented path 0 -> ... -> 8 under a 3 x 3 Cartesian torus shape
+    has the path's violations (none), not the torus's 9 vertical ones."""
+    f = lab([0, 2, 4] * 3, 4)
+    path = oriented_path(9)
+    shaped = Digraph(9, path.out_edges, ProductShape(CART, 3, 3, cyclic=True))
+    assert validate(path, f) == []
+    assert validate(shaped, f) == []
+    assert len(validate(torus(CART, 3, 3), f)) == 9
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_validate_checks_a_torus_with_an_extra_edge(kind):
+    """One more edge under the torus shape joins two equal colors of a
+    valid lift; validate reports it as the shape-less copy does."""
+    m = n = 10
+    word = least_lift_word(kind, 5, DEFAULT_PARAMS)
+    f = lift_diagonal(word, kind, m, n)
+    g = torus(kind, m, n)
+    near = {w for u, w in g.edges() if 0 in (u, w)} | set(g.out_edges[0])
+    target = next(v for v in range(1, m * n)
+                  if f.colors[v] == f.colors[0] and v not in near
+                  and all(0 not in g.out_edges[x] or v not in g.out_edges[x] for x in range(m * n)))
+    out_edges = (g.out_edges[0] + (target,),) + g.out_edges[1:]
+    shaped = Digraph(m * n, out_edges, g.shape)
+    plain = Digraph(m * n, out_edges)
+    assert validate(g, f) == []
+    want = validate(plain, f)
+    assert Violation(ViolationKind.EDGE_GAP, (0, target), (0, 0), 2) in want
+    assert validate(shaped, f) == want
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_validate_checks_neighbours_not_only_degrees(kind):
+    """Graphs with a torus's degrees under its shape but other edges: the
+    edge 0 -> (1, 0) redirected to (5, 0), which has 0's color, and the
+    5 x 10 torus under a 10 x 5 shape."""
+    word = least_lift_word(kind, 5, DEFAULT_PARAMS)
+    f = lift_diagonal(word, kind, 10, 5)
+    g = torus(kind, 10, 5)
+    assert g.out_edges[0][0] == 5 and f.color_at(5, 0) == f.color_at(0, 0)
+    redirected = ((25,) + g.out_edges[0][1:],) + g.out_edges[1:]
+    wide = torus(kind, 5, 10)
+    for out_edges in (redirected, wide.out_edges):
+        plain = Digraph(50, out_edges)
+        want = validate(plain, f)
+        assert want
+        assert validate(Digraph(50, out_edges, g.shape), f) == want
 
 
 def test_torus_violations_guards():

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpqcycles import (
     Pattern,
     ProductKind,
+    ProductShape,
     conditions_for,
     exists_cycle_pattern,
     is_diagonal,
@@ -159,6 +161,27 @@ def test_lift_values_and_shape():
         for j in range(5):
             assert f.color_at(i, j) == pat.colors[(i + j) % 5]
     assert is_diagonal(f)
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 7, 13])
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_lift_matches_its_definition(kind, L):
+    """f(i, j) = w[(i + j) mod L] at every cell, on L x L and non-square
+    multiples, with int64 read-only colors, a cyclic shape and budget
+    the word's span."""
+    rng = np.random.default_rng(L)
+    word = Pattern(tuple(int(c) for c in rng.integers(0, 9, L)), conditions_for(kind))
+    for m, n in [(L, L), (L, 2 * L), (3 * L, L), (2 * L, 3 * L)]:
+        f = lift_diagonal(word, kind, m, n)
+        for i in range(m):
+            for j in range(n):
+                assert f.color_at(i, j) == word.colors[(i + j) % L]
+        assert f.colors.dtype == np.int64
+        assert not f.colors.flags.writeable
+        with pytest.raises(ValueError):
+            f.colors[0] = 0
+        assert f.shape == ProductShape(kind, m, n, cyclic=True)
+        assert f.k_budget == word.span
 
 
 def test_lift_requires_divisibility():
