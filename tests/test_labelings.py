@@ -277,10 +277,8 @@ def test_validate_checks_a_torus_with_an_extra_edge(kind):
     word = least_lift_word(kind, 5, DEFAULT_PARAMS)
     f = lift_diagonal(word, kind, m, n)
     g = torus(kind, m, n)
-    near = {w for u, w in g.edges() if 0 in (u, w)} | set(g.out_edges[0])
-    target = next(v for v in range(1, m * n)
-                  if f.colors[v] == f.colors[0] and v not in near
-                  and all(0 not in g.out_edges[x] or v not in g.out_edges[x] for x in range(m * n)))
+    near = {x for edge in g.edges() if 0 in edge for x in edge}
+    target = next(v for v in range(1, m * n) if f.colors[v] == f.colors[0] and v not in near)
     out_edges = (g.out_edges[0] + (target,),) + g.out_edges[1:]
     shaped = Digraph(m * n, out_edges, g.shape)
     plain = Digraph(m * n, out_edges)
