@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain
 from typing import IO, Iterable
 
@@ -112,9 +113,10 @@ def constraint_pairs(
     return pairs
 
 
-def _stencil(
-    kind: ProductKind, m: int, n: int, params: ConstraintParams
-) -> dict[tuple[int, int], tuple[int, ViolationKind]]:
+_Stencil = tuple[tuple[tuple[int, int], tuple[int, ViolationKind]], ...]
+
+
+def _stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams) -> _Stencil:
     """The constrained offsets of C_m x C_n, each with its gap and kind.
 
     Every edge of the torus is a translate of an edge vector ((1, 0),
@@ -122,7 +124,28 @@ def _stencil(
     translate of a sum of two of them.  Offsets are folded mod (m, n) and up
     to sign; offsets that fold together on small tori keep the larger gap
     and count as edges if either one is, and (0, 0) is dropped, exactly as
-    constraint_pairs merges the pairs they generate.
+    constraint_pairs merges the pairs they generate.  The fold is cached
+    per (kind, min(m, 5), min(n, 5), params) by _signed_stencil; this
+    only reduces its offsets mod (m, n).
+    """
+
+    return tuple(
+        ((di % m, dj % n), gap_kind)
+        for (di, dj), gap_kind in _signed_stencil(kind, min(m, 5), min(n, 5), params)
+    )
+
+
+@cache
+def _signed_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams) -> _Stencil:
+    """The fold of _stencil on sides of at most 5, where a side of 5
+    stands for every side of at least 5.
+
+    Edge vectors and their sums have components 0..2.  On a side of at
+    least 5 no two of them meet mod the side or up to sign unless equal,
+    and the sign of a fold is settled by the other component or by 2 < 3,
+    so the fold is the same on every such side up to the representative
+    of a component: one of 3 or 4 on a side of 5 stands for side - 2 or
+    side - 1, and is kept as -2 or -1.
     """
 
     edges = [(1, 0), (0, 1)] + ([(1, 1)] if kind is ProductKind.STRONG else [])
@@ -137,7 +160,11 @@ def _stencil(
             if key != (0, 0):
                 gap, vkind = out.get(key, (params.q, ViolationKind.TWO_STEP_GAP))
                 out[key] = (max(gap, params.q), vkind)
-    return out
+
+    def signed(x: int, side: int) -> int:
+        return x - side if side == 5 and x > 2 else x
+
+    return tuple(((signed(di, m), signed(dj, n)), gk) for (di, dj), gk in out.items())
 
 
 def torus_violations(
@@ -161,7 +188,7 @@ def torus_violations(
     if -(2**14) < grid.min() and grid.max() < 2**14:
         # every difference fits int16, which moves a quarter of int64's bytes
         dtype = np.int16
-    stencil = list(_stencil(kind, m, n, params).items())
+    stencil = _stencil(kind, m, n, params)
     pad_i = max(di for (di, _), _ in stencil)
     pad_j = max(dj for (_, dj), _ in stencil)
     ext = np.empty((m + pad_i, n + pad_j), dtype)

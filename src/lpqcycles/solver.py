@@ -1,6 +1,6 @@
 """Exact search for L(p,q)-labelings.
 
-The engine is a forward-checking backtracker over bitmask color domains.
+The engine is a forward-checking backtracker over packed color domains.
 Witness searches and enumeration with a visitor assign vertices in id
 order and try colors in ascending order, so the first witness found is the
 lexicographically least one and full enumeration emits labelings in
@@ -25,15 +25,16 @@ A witness search on a graph whose constrained pairs translations preserve
 shifting a labeling down to least color 0 keeps every gap, and translating
 a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
 tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
-The pair -> gap map and the translation check are compiled once per public
-call; only the allow tables are rebuilt for each span, one set that both
-searches of a race share.
+The pair -> gap map, the translation check and the forward lists of both
+vertex orders are built once per public call; a search builds each color
+mask when it first tries it, so nothing is built ahead of the first node.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Generator, Iterable
 
 import numpy as np
@@ -70,15 +71,7 @@ class LambdaWitness:
     witness: Labeling
 
 
-def _allow_table(gap: int, k: int) -> tuple[int, ...]:
-    # allow_table[c] masks every color of 0..k at distance >= gap from c
-    full = (1 << (k + 1)) - 1
-    out = []
-    for c in range(k + 1):
-        lo = max(0, c - gap + 1)
-        hi = min(k, c + gap - 1)
-        out.append(full & ~(((1 << (hi - lo + 1)) - 1) << lo))
-    return tuple(out)
+_Forward = list[tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -95,6 +88,16 @@ class _Constraints:
     pairs: tuple[tuple[int, int, int], ...]
     transitive: bool
 
+    @cached_property
+    def id_forward(self) -> _Forward:
+        return _forward(self)
+
+    @cached_property
+    def count_forward(self) -> _Forward:
+        """_forward in _count_order's order; id_forward where they agree."""
+        order = _count_order(self)
+        return self.id_forward if order == list(range(self.n_vertices)) else _forward(self, order)
+
 
 def compile_constraints(
     g: Digraph,
@@ -104,8 +107,7 @@ def compile_constraints(
     """The pair -> gap map of g and whether translations preserve it.
 
     extra_pairs adds (u, v, gap) constraints on top of the graph's own,
-    merged by taking the larger gap.  The per-span allow tables are built
-    from the result by _forward.
+    merged by taking the larger gap.
     """
 
     gaps: dict[tuple[int, int], int] = {
@@ -183,31 +185,21 @@ def _count_order(cons: _Constraints) -> list[int]:
     return order
 
 
-def _allow_tables(cons: _Constraints, k: int) -> dict[int, tuple[int, ...]]:
-    """The allow table of each gap at span k, shared by the forward
-    adjacency of every order searched at that span."""
-
-    return {gap: _allow_table(gap, k) for gap in {gap for _u, _v, gap in cons.pairs}}
-
-
-def _forward(
-    cons: _Constraints,
-    tables: dict[int, tuple[int, ...]],
-    order: list[int] | None = None,
-) -> list[list[tuple[int, tuple[int, ...]]]]:
+def _forward(cons: _Constraints, order: list[int] | None = None) -> _Forward:
     """Forward adjacency over positions in order (id order when None):
-    fwd[a] lists (b, allow_table) for each constrained position b > a."""
+    fwd[a] holds (b - a, gap) for each constrained position b > a, sorted,
+    so positions with the same neighbourhood up to a shift share a key."""
 
     pos = list(range(cons.n_vertices))
     for i, v in enumerate(order or ()):
         pos[v] = i
-    fwd: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(cons.n_vertices)]
+    fwd: list[list[tuple[int, int]]] = [[] for _ in range(cons.n_vertices)]
     for u, v, gap in cons.pairs:
         a, b = pos[u], pos[v]
         if a > b:
             a, b = b, a
-        fwd[a].append((b, tables[gap]))
-    return fwd
+        fwd[a].append((b - a, gap))
+    return [tuple(sorted(targets)) for targets in fwd]
 
 
 @dataclass
@@ -232,7 +224,7 @@ _Run = Generator[int, int, tuple[tuple[int, ...] | None, int, int]]
 
 def _run(
     n_v: int,
-    fwd: list[list[tuple[int, tuple[int, ...]]]],
+    fwd: _Forward,
     k: int,
     cand0: int,
     first: bool,
@@ -247,17 +239,28 @@ def _run(
     nodes spent since the last pause): with first the witness is the first
     labeling met or None, else None.  Each node makes one comparison
     against the pause point.
+
+    Every domain lives in one int: position p owns bits p * (k + 2) on,
+    k + 1 color bits under a guard bit that stays 0.  Adding data (every
+    color bit set) carries into the guard of each nonzero field and never
+    past it, so one AND assigns a color and one sum tests every domain for
+    a wipeout.  doms[pos] is the int on entry to pos: backtracking returns
+    to it and undoes nothing.  masks[pos][c] clears what c at pos forbids
+    at its forward targets.  It is built when a node first tries c at pos,
+    so memory grows with the nodes spent, from bits relative to pos that
+    positions with one forward list share (most positions of a word).
     """
 
-    dom = [(1 << (k + 1)) - 1] * n_v
+    width = k + 2
+    full = (1 << (k + 1)) - 1
+    ones = sum(1 << (p * width) for p in range(n_v))
+    guard = ones << (k + 1)
+    data = guard - ones
+    masks: list[dict[int, int]] = [{} for _ in range(n_v)]
+    forbids: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
+    doms = [data] * n_v
     colors = [0] * n_v
     cand = [0] * n_v
-    # mark[pos] is the trail length when pos was entered; every color try
-    # starts by undoing whatever was propagated since, which covers the try
-    # before it and any positions above it that were backtracked out of.
-    # The trail holds position, old domain, position, old domain, ...
-    mark = [0] * n_v
-    trail: list[int] = []
     last = n_v - 1
     nodes = 0
     stop = yield nodes
@@ -271,10 +274,6 @@ def _run(
             if pos < 0:
                 return None, count, nodes
             continue
-        t = mark[pos]
-        while len(trail) > t:
-            old = trail.pop()
-            dom[trail.pop()] = old
         low = m & -m
         cand[pos] = m ^ low
         c = low.bit_length() - 1
@@ -282,27 +281,31 @@ def _run(
         if nodes >= stop:
             stop = yield nodes
             nodes = 0
+        mask = masks[pos].get(c)
+        if mask is None:
+            targets = fwd[pos]
+            forbid = forbids.get((targets, c))
+            if forbid is None:
+                forbid = 0
+                for offset, gap in targets:
+                    lo, hi = max(0, c - gap + 1), min(k, c + gap - 1)
+                    forbid |= ((1 << (hi - lo + 1)) - 1) << (offset * width + lo)
+                forbids[targets, c] = forbid
+            mask = masks[pos][c] = data ^ (forbid << (pos * width))
+        new = doms[pos] & mask
+        if (new + data) & guard != guard:
+            continue
         colors[pos] = c
-        for v, allow in fwd[pos]:
-            old = dom[v]
-            new = old & allow[c]
-            if new != old:
-                if not new:
-                    break
-                trail.append(v)
-                trail.append(old)
-                dom[v] = new
-        else:
-            if pos < last:
-                pos += 1
-                mark[pos] = len(trail)
-                cand[pos] = dom[pos]
-                continue
-            if first:
-                return tuple(colors), count, nodes
-            count += 1
-            if visitor is not None:
-                visitor(tuple(colors))
+        if pos < last:
+            pos += 1
+            doms[pos] = new
+            cand[pos] = new >> (pos * width) & full
+            continue
+        if first:
+            return tuple(colors), count, nodes
+        count += 1
+        if visitor is not None:
+            visitor(tuple(colors))
 
 
 def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] | None:
@@ -358,7 +361,7 @@ def _search(
     limits: _Limits,
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
-    rival_order: list[int] | None = None,
+    race: bool = False,
 ) -> tuple[Labeling | None, int]:
     """The one search behind every public entry point.
 
@@ -371,8 +374,8 @@ def _search(
     starting above that to a smaller one.  Witness searches and visitor
     enumeration assign vertices in id order, so the first labeling met is
     the least and a visitor sees every labeling in lexicographic order.
-    A witness search given rival_order races a second witness search in
-    that order (see _drive), under the same first-vertex rule: either
+    A witness search with race races one in the count order where that
+    is not id order (see _drive), under the same first-vertex rule: either
     search finds a witness exactly when the span has one.
 
     Without first or visitor the search counts, in _count_order's order,
@@ -385,14 +388,13 @@ def _search(
     if k < 0:
         raise ValueError("k must be nonnegative")
     counting = not first and visitor is None
-    tables = _allow_tables(cons, k)
-    fwd = _forward(cons, tables, _count_order(cons) if counting else None)
+    fwd = cons.count_forward if counting else cons.id_forward
     top = (0 if cons.transitive else k // 2) if first else k
     cand0 = (1 << (top + 1)) - 1
     n_v = cons.n_vertices
     rival = None
-    if rival_order is not None:
-        rival = _run(n_v, _forward(cons, tables, rival_order), k, cand0, True)
+    if race and cons.count_forward is not cons.id_forward:
+        rival = _run(n_v, cons.count_forward, k, cand0, True)
     witness, count = _drive(_run(n_v, fwd, k, cand0, first, visitor), limits, rival)
     if witness is None:
         return None, count
@@ -450,11 +452,9 @@ def exact_lambda(
 
     limits = _limits(budget)
     cons = compile_constraints(g, params)
-    order = _count_order(cons)
-    rival_order = None if order == list(range(cons.n_vertices)) else order
     k = 0
     while True:
-        f, _count = _search(cons, k, limits, first=True, rival_order=rival_order)
+        f, _count = _search(cons, k, limits, first=True, race=True)
         if f is not None:
             return LambdaWitness(k, f)
         k += 1

@@ -4,8 +4,10 @@ Everything here re-derives constraints from a graph's raw out-edge lists
 with numpy and shares no logic with the package's own constraint builder
 or search engine: a brute-force assignment filter, a row-transfer DP for
 the 4 x 4 strong grid, a window-transfer feasibility check for cyclic
-patterns, a recursive backtracker for least cyclic words, literal
-semigroup membership, and the paper's hand-built block words.
+patterns, a recursive backtracker for least cyclic words, a set-based
+forward checker that meters nodes as the solver does, the torus stencil
+folded at the torus's own sides, literal semigroup membership, and the
+paper's hand-built block words.
 
 It also keeps the paper's own reduction, which no certificate of the
 package uses: the descent on torus sides (descent_terminal), the row
@@ -26,7 +28,9 @@ from lpqcycles import (
     ConstraintParams,
     Labeling,
     Pattern,
+    ProductKind,
     ProductShape,
+    ViolationKind,
     is_diagonal,
     semigroup_decompose,
     torus_violations,
@@ -112,6 +116,94 @@ def dp_count_strong_grid4(k: int) -> int:
     for _ in range(2):
         state = (state.T @ M2f) * M1f
     return int(round(state.sum()))
+
+
+class NodeCap(Exception):
+    """forward_check spent one node past its cap."""
+
+    def __init__(self, nodes: int) -> None:
+        super().__init__(nodes)
+        self.nodes = nodes
+
+
+def forward_check(
+    n: int,
+    pairs,
+    order: list[int],
+    k: int,
+    top: int,
+    first: bool = False,
+    visitor=None,
+    max_nodes: int | None = None,
+):
+    """Plain forward checking over the vertices in order, one set of
+    colors per domain, recursion per position.
+
+    pairs holds (u, v, gap) constraints.  Position 0 tries colors 0..top,
+    every later position the colors left in its domain, ascending.  Each
+    color tried is one node; it removes the colors within gap of it from
+    the domain of every constrained later position and is a dead end when
+    one of those domains empties.  Returns (witness, count, nodes) with
+    colors listed by position: with first the search stops at its first
+    labeling, the witness, else it counts every labeling and shows each to
+    visitor.  Raises NodeCap on node max_nodes + 1.
+    """
+
+    pos = {v: i for i, v in enumerate(order)}
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, gap in pairs:
+        a, b = sorted((pos[u], pos[v]))
+        later[a].append((b, gap))
+    colors = [0] * n
+    tally = {"nodes": 0, "count": 0}
+
+    def go(a: int, doms: list[set[int]]):
+        for c in sorted(doms[a]) if a else range(top + 1):
+            tally["nodes"] += 1
+            if max_nodes is not None and tally["nodes"] > max_nodes:
+                raise NodeCap(tally["nodes"])
+            new = list(doms)
+            for b, gap in later[a]:
+                new[b] = {d for d in doms[b] if abs(d - c) >= gap}
+                if not new[b]:
+                    break
+            else:
+                colors[a] = c
+                if a < n - 1:
+                    found = go(a + 1, new)
+                    if found is not None:
+                        return found
+                elif first:
+                    return tuple(colors)
+                else:
+                    tally["count"] += 1
+                    if visitor is not None:
+                        visitor(tuple(colors))
+        return None
+
+    witness = go(0, [set(range(k + 1)) for _ in range(n)])
+    return witness, tally["count"], tally["nodes"]
+
+
+def torus_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams):
+    """The constrained offsets of C_m x C_n with their gap and kind, as
+    ((di, dj), (gap, kind)) items: edge vectors and their pairwise sums
+    folded mod (m, n) and up to sign at the torus's own sides, merged by
+    the larger gap and counted as edges if either offset is one."""
+
+    edges = [(1, 0), (0, 1)] + ([(1, 1)] if kind is ProductKind.STRONG else [])
+
+    def fold(di: int, dj: int) -> tuple[int, int]:
+        return min((di % m, dj % n), (-di % m, -dj % n))
+
+    out = {fold(*e): (params.p, ViolationKind.EDGE_GAP) for e in edges}
+    for a in edges:
+        for b in edges:
+            key = fold(a[0] + b[0], a[1] + b[1])
+            if key != (0, 0):
+                gap, vkind = out.get(key, (params.q, ViolationKind.TWO_STEP_GAP))
+                out[key] = (max(gap, params.q), vkind)
+    return tuple(out.items())
 
 
 def cyclic_word_feasible(length: int, span: int, conditions: tuple[int, ...]) -> bool:

@@ -28,8 +28,8 @@ from lpqcycles import (
     validate,
     write_labeling,
 )
-from lpqcycles.labelings import DEFAULT_PARAMS, _stencil
-from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows
+from lpqcycles.labelings import DEFAULT_PARAMS, _signed_stencil, _stencil
+from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows, torus_stencil
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -133,6 +133,20 @@ def test_torus_stencil_matches_generic_path(kind, m):
                 assert want
                 assert validate(g, f, params) == want
                 assert torus_violations(kind, colors.reshape(m, n), params) == want
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", [ConstraintParams(2, 1), ConstraintParams(1, 2),
+                                    ConstraintParams(3, 3)])
+def test_cached_stencil_matches_the_direct_fold(kind, params):
+    """One cached stencil per side clamped to 5 serves every torus: on
+    sides 3..12 its offsets mod (m, n) are the fold at (m, n) itself,
+    including the strong 3 x n folds of (2, 1) and (2, 2) that depend on n."""
+    for m in range(3, 13):
+        for n in range(3, 13):
+            assert _stencil(kind, m, n, params) == torus_stencil(kind, m, n, params)
+    assert _signed_stencil(kind, 5, 5, params) is _signed_stencil(kind, 5, 5, params)
+    assert _stencil(kind, 40, 41, params) == torus_stencil(kind, 40, 41, params)
 
 
 def lift_conditions(kind, params):
@@ -246,7 +260,7 @@ def test_torus_violations_pads_past_two_on_small_sides(kind, m, n):
     """With 3 rows a strong (2, 1) folds to (1, n - 1), so the wrap pad is
     n - 1 columns wide; the other shapes keep offsets of at most 2."""
     params = ConstraintParams(2, 1)
-    reach = max(max(offset) for offset in _stencil(kind, m, n, params))
+    reach = max(max(offset) for offset, _gap_kind in _stencil(kind, m, n, params))
     if kind is STRONG and m == 3:
         assert reach == n - 1
     else:

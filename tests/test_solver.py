@@ -1,4 +1,8 @@
 import functools
+import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -22,7 +26,7 @@ from lpqcycles import (
     torus,
     validate,
 )
-from oracles import brute_rows, dp_count_strong_grid4
+from oracles import NodeCap, brute_rows, dp_count_strong_grid4, forward_check
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -294,6 +298,37 @@ def test_budget_exhaustion_crosses_the_pool():
     assert exc.value.nodes > 10
 
 
+# prints the nodes spent and this process's peak resident set in kB.  On
+# Linux ru_maxrss keeps the peak of the process that started this one
+# across exec (it read 861 MB under pytest), so VmHWM is read where it exists
+_HUGE_SPAN_COUNT = """
+import resource
+from lpqcycles import BudgetExhausted, ProductKind, SolveBudget, count_labelings, grid
+try:
+    count_labelings(grid(ProductKind.CARTESIAN, 3, 3), 60_000, budget=SolveBudget(max_nodes=10))
+except BudgetExhausted as exc:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        with open("/proc/self/status") as fp:
+            peak = next(int(line.split()[1]) for line in fp if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        pass
+    print(exc.nodes, peak)
+"""
+
+
+def test_node_budget_bounds_memory_at_a_huge_span():
+    # nothing is built per span ahead of the first node, so memory follows
+    # the nodes spent: ten nodes at span 60,000 stay small
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", _HUGE_SPAN_COUNT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    nodes, max_rss_kb = map(int, out.stdout.split())
+    assert nodes == 11
+    assert max_rss_kb < 120 * 1024
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=0)
@@ -447,3 +482,110 @@ def test_budget_is_a_third_outcome():
     with pytest.raises(BudgetExhausted):
         exists_labeling(g, 4, budget=SolveBudget(max_nodes=3))
     assert time.perf_counter() - start < 1.0
+
+
+# nodes each side of the differential test may spend; searches that reach
+# it compare where and how they stop instead
+_DIFF_CAP = 3_000
+
+
+def _plain(make, *args):
+    return make(*args), ConstraintParams(), ()
+
+
+def _word_graph(length, conditions):
+    # the cyclic word search's graph: edgeless, constrained by extra pairs
+    g = Digraph(length, ((),) * length)
+    extra = [(s, (s + t) % length, c)
+             for t, c in enumerate(conditions, 1) if c for s in range(length)]
+    return g, ConstraintParams(0, 0), extra
+
+
+def _differential_cases():
+    rng = random.Random(18)
+    cases = []
+    for kind in (CART, STRONG):
+        for m, n in rng.sample([(m, n) for m in range(3, 7) for n in range(3, 7)], 4):
+            cases.append(pytest.param(functools.partial(_plain, torus, kind, m, n),
+                                      _TORUS_LAMBDA[kind][m - 3][n - 3],
+                                      id=f"torus-{kind.value}-{m}x{n}"))
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        cases.append(pytest.param(functools.partial(_plain, grid, kind, m, n), None,
+                                  id=f"grid-{kind.value}-{m}x{n}"))
+    for length in rng.sample(range(3, 10), 3):
+        cases.append(pytest.param(functools.partial(_plain, oriented_cycle, length), None,
+                                  id=f"cycle-{length}"))
+    for conditions in ((2, 1), (2, 2, 1, 1), (3, 0, 1)):
+        length = rng.randint(5, 15)
+        cases.append(pytest.param(functools.partial(_word_graph, length, conditions), None,
+                                  id=f"word-{length}-{''.join(map(str, conditions))}"))
+    return cases
+
+
+def _oracle(cons, order, k, top, first, visit):
+    seen = []
+    try:
+        witness, count, nodes = forward_check(
+            cons.n_vertices, cons.pairs, order, k, top, first,
+            seen.append if visit else None, _DIFF_CAP)
+    except NodeCap as cap:
+        return "exhausted", cap.nodes, seen
+    return (witness, count), nodes, seen
+
+
+def _outcome(limits, call):
+    seen = []
+    try:
+        found = call(seen.append)
+    except BudgetExhausted as exc:
+        assert exc.nodes == limits.spent
+        return "exhausted", limits.spent, seen
+    return found, limits.spent, seen
+
+
+def _least_span(cons):
+    # the least span with a labeling, found by the oracle alone
+    ident, k = list(range(cons.n_vertices)), 0
+    while True:
+        found, _nodes, _seen = _oracle(cons, ident, k, 0 if cons.transitive else k // 2,
+                                       True, False)
+        assert found != "exhausted"
+        if found[0] is not None:
+            return k
+        k += 1
+
+
+@pytest.mark.parametrize("make,value", _differential_cases())
+def test_kernel_matches_a_plain_forward_checker(make, value):
+    # the packed-domain kernel against set-based forward checking: same
+    # witness, count, visitor sequence and node count (read from
+    # _Limits.spent) in id order and in the count order, searching for a
+    # witness, counting and visiting, at spans lambda - 1 and lambda
+    cons = solver.compile_constraints(*make())
+    ident, counted = list(range(cons.n_vertices)), solver._count_order(cons)
+    value = _least_span(cons) if value is None else value
+    for k in (value - 1, value):
+        if k < 0:
+            continue
+        for order in (ident, counted):
+            fwd = solver._forward(cons, order)
+            for first, visit in ((True, False), (False, False), (False, True)):
+                counting = not first and not visit
+                top = (0 if cons.transitive else k // 2) if first else k
+                limits = solver._Limits(_DIFF_CAP)
+
+                def call(visitor):
+                    run = solver._run(cons.n_vertices, fwd, k, (1 << (top + 1)) - 1,
+                                      first, visitor if visit else None)
+                    return solver._drive(run, limits)
+
+                want = _oracle(cons, order, k, top, first, visit)
+                assert _outcome(limits, call) == want, (k, order == ident, first, visit)
+                if order is (counted if counting else ident):
+                    # the order _search takes for this mode
+                    limits = solver._Limits(_DIFF_CAP)
+                    got = _outcome(limits, lambda visitor: solver._search(
+                        cons, k, limits, first, visitor if visit else None))
+                    if got[0] != "exhausted" and got[0][0] is not None:
+                        got = ((got[0][0].as_tuple(), got[0][1]),) + got[1:]
+                    assert got == want
