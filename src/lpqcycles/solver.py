@@ -1,33 +1,36 @@
 """Exact search for L(p,q)-labelings.
 
-The engine is a forward-checking backtracker over packed color domains.
-Witness searches and enumeration with a visitor assign vertices in id
-order and try colors in ascending order, so the first witness found is the
-lexicographically least one and full enumeration emits labelings in
-lexicographic order.  Counts do not: they assign vertices greedily by the
-number of constrained pairs to those already placed (_count_order), which
-prunes dead ends sooner, and return no labeling.  On each span it tries,
-exact_lambda races a witness search in that order against the id-order
-one: the count order proves most infeasible spans far sooner, and the
-witness is always the id-order search's.
-Work is metered in search nodes (one node per attempted color
-assignment) and in nothing else: the solver reads no clock, so whether a
-budget runs out depends only on the input.  Exhausting the budget raises
-BudgetExhausted, a third outcome distinct from "no labeling".  The
-backtracker (_run) is a generator that pauses every 4096 nodes, and one
-driver (_drive) resumes it, polls the budget at each pause and takes the
-two searches of a race in turn; every search runs in the calling process.
-A budget limits a whole public call: every span exact_lambda tries and
-both searches of a race draw on the same nodes.
+The engine is a forward-checking backtracker over packed color domains
+that gives every vertex left with one color that color before it
+branches again (unit propagation).  Witness searches and enumeration
+with a visitor branch on vertices in id order and try colors in
+ascending order; a forced vertex never branches, so the first witness
+found is the lexicographically least one and full enumeration emits
+labelings in lexicographic order.  Counts do not: they branch on
+vertices greedily by the number of constrained pairs to those already
+placed (_count_order), which prunes dead ends sooner, and return no
+labeling.  On each span it tries, exact_lambda races a witness search in
+that order against the id-order one: the count order proves most
+infeasible spans far sooner, and the witness is always the id-order
+search's.  Work is metered in search nodes (one node per attempted color
+assignment, forced ones included) and in nothing else: the solver reads
+no clock, so whether a budget runs out depends only on the input.
+Exhausting the budget raises BudgetExhausted, a third outcome distinct
+from "no labeling".  The backtracker (_run) is a generator that pauses
+every 4096 nodes, and _drive resumes it, polls the budget at each pause
+and takes the two searches of a race in turn; every search runs in the
+calling process.  A budget limits a whole public call: every span
+exact_lambda tries and both searches of a race draw on the same nodes.
 
 A witness search on a graph whose constrained pairs translations preserve
 (tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
 shifting a labeling down to least color 0 keeps every gap, and translating
 a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
 tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
-The pair -> gap map, the translation check and the forward lists of both
-vertex orders are built once per public call; a search builds each color
-mask when it first tries it, so nothing is built ahead of the first node.
+The pair -> gap map, the translation check and the neighbour lists of
+both vertex orders are built once per public call; a search builds each
+color mask when it first tries it, so nothing is built ahead of the first
+node.
 """
 
 from __future__ import annotations
@@ -110,17 +113,19 @@ def compile_constraints(
     merged by taking the larger gap.
     """
 
-    gaps: dict[tuple[int, int], int] = {
-        pair: gap for pair, (gap, _kind) in constraint_pairs(g, params).items()
-    }
+    gaps: dict[tuple[int, int], int] = {}
+    if any(g.out_edges):
+        gaps = {pair: gap for pair, (gap, _kind) in constraint_pairs(g, params).items()}
+    n = g.n_vertices
     for u, v, gap in extra_pairs:
-        if u == v or not (0 <= u < g.n_vertices and 0 <= v < g.n_vertices):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bad extra pair ({u}, {v})")
         key = (u, v) if u < v else (v, u)
-        gaps[key] = max(gap, gaps.get(key, 0))
+        if gap > gaps.get(key, 0):
+            gaps[key] = gap
     gaps = {pair: gap for pair, gap in gaps.items() if gap > 0}
     pairs = tuple((u, v, gap) for (u, v), gap in sorted(gaps.items()))
-    return _Constraints(g.n_vertices, g.shape, pairs, _transitive(gaps, g.n_vertices, g.shape))
+    return _Constraints(n, g.shape, pairs, _transitive(gaps, n, g.shape))
 
 
 def _transitive(
@@ -139,23 +144,20 @@ def _transitive(
     cols = n
     if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
         cols = shape.cols
-
-    def row_shift(v: int) -> int:
-        return (v + cols) % n
-
-    def col_shift(v: int) -> int:
-        return v - v % cols + (v + 1) % cols
-
     for (u, v), gap in gaps.items():
-        for shift in (row_shift, col_shift):
-            a, b = shift(u), shift(v)
+        if cols < n:  # the row shift v -> v + cols mod n; one row is its own shift
+            a, b = (u + cols) % n, (v + cols) % n
             if gaps.get((a, b) if a < b else (b, a)) != gap:
                 return False
+        # the column shift, within the row
+        a, b = u - u % cols + (u + 1) % cols, v - v % cols + (v + 1) % cols
+        if gaps.get((a, b) if a < b else (b, a)) != gap:
+            return False
     return True
 
 
 def _count_order(cons: _Constraints) -> list[int]:
-    """The vertex order a count assigns in.
+    """The vertex order a count searches in.
 
     Vertex 0 comes first, then at each step the unplaced vertex with the
     most constrained pairs to the placed ones, ties to the smallest id: a
@@ -186,9 +188,10 @@ def _count_order(cons: _Constraints) -> list[int]:
 
 
 def _forward(cons: _Constraints, order: list[int] | None = None) -> _Forward:
-    """Forward adjacency over positions in order (id order when None):
-    fwd[a] holds (b - a, gap) for each constrained position b > a, sorted,
-    so positions with the same neighbourhood up to a shift share a key."""
+    """Adjacency over positions in order (id order when None): fwd[a]
+    holds (b - a, gap) for each position b constrained with a, before or
+    after it, sorted, so positions with the same neighbourhood up to a
+    shift share a key."""
 
     pos = list(range(cons.n_vertices))
     for i, v in enumerate(order or ()):
@@ -196,9 +199,8 @@ def _forward(cons: _Constraints, order: list[int] | None = None) -> _Forward:
     fwd: list[list[tuple[int, int]]] = [[] for _ in range(cons.n_vertices)]
     for u, v, gap in cons.pairs:
         a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
         fwd[a].append((b - a, gap))
+        fwd[b].append((a - b, gap))
     return [tuple(sorted(targets)) for targets in fwd]
 
 
@@ -240,15 +242,34 @@ def _run(
     labeling met or None, else None.  Each node makes one comparison
     against the pause point.
 
-    Every domain lives in one int: position p owns bits p * (k + 2) on,
-    k + 1 color bits under a guard bit that stays 0.  Adding data (every
-    color bit set) carries into the guard of each nonzero field and never
-    past it, so one AND assigns a color and one sum tests every domain for
-    a wipeout.  doms[pos] is the int on entry to pos: backtracking returns
-    to it and undoes nothing.  masks[pos][c] clears what c at pos forbids
-    at its forward targets.  It is built when a node first tries c at pos,
-    so memory grows with the nodes spent, from bits relative to pos that
-    positions with one forward list share (most positions of a word).
+    Every domain lives in one int.  Position p owns the k + 2 bits from
+    (n_v - 1 - p) * (k + 2) on, so the lowest position holds the highest
+    field, one bit_length away: k + 1 color bits under a guard bit that
+    stays 0.  masks[pos][c] cuts the field of pos to c and clears what c
+    forbids at every position constrained with pos, before or after it,
+    so one AND assigns c.  It also sets the guard bits of those positions,
+    which no domain holds: ANDed with the guard bits of the unassigned
+    positions (left), it names the fields the assignment touched.  An
+    assigned field holds its one color, which every later mask leaves in
+    place, so only a touched unassigned field can empty or drop to one
+    color.  Subtracting ones lowers every field by one: an empty field
+    borrows into its guard bit (a wipeout, and a dead end), and ANDed back
+    with the domains the difference leaves a field zero exactly where it
+    held one color, which the carry of adding data shows.  A mask is built
+    when a node first tries c at pos, from the window c forbids at each
+    gap spread over the offsets of pos's neighbours (positions with one
+    neighbour list, most positions of a word, share it), so memory grows
+    with the nodes spent.
+
+    Each assignment is followed by the forced ones: while an unassigned
+    position has one color left, the lowest such position takes it, as
+    one more node, until none is left or a domain empties.  Then the
+    lowest unassigned position branches over its colors, ascending.
+    Branching positions rise along a path, so each keeps its own entry:
+    the domains and the unassigned positions on entry, the colors still to
+    try and the branching position before it.  Backtracking undoes
+    nothing.  A forced position never branches, so the labelings still
+    come in lexicographic order of the positions.
     """
 
     width = k + 2
@@ -257,49 +278,100 @@ def _run(
     guard = ones << (k + 1)
     data = guard - ones
     masks: list[dict[int, int]] = [{} for _ in range(n_v)]
-    forbids: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
-    doms = [data] * n_v
+    # per neighbour list: for each gap, a 1 in the lowest bit of each
+    # neighbour's field, relative to the lowest neighbour; times the window
+    # a color forbids at that gap it repeats the window in every field
+    spreads: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+
+    def build(pos: int, c: int) -> int:
+        targets = fwd[pos]
+        top = max(targets[-1][0], 0) if targets else 0
+        spread = spreads.get(targets)
+        if spread is None:
+            by_gap: dict[int, int] = {}
+            for offset, gap in targets:
+                by_gap[gap] = by_gap.get(gap, 0) | 1 << ((top - offset) * width)
+            spread = spreads[targets] = tuple(by_gap.items())
+        forbid = (full ^ (1 << c)) << (top * width)
+        for gap, fields in spread:
+            lo, hi = max(0, c - gap + 1), min(k, c + gap - 1)
+            forbid |= fields * (((1 << (hi - lo + 1)) - 1) << lo | 1 << (k + 1))
+        mask = masks[pos][c] = data ^ (forbid << ((n_v - 1 - pos - top) * width))
+        return mask
+
     colors = [0] * n_v
+    # per branching position on the current path: the one before it, the
+    # domains on entry, the guard bits of the other unassigned positions,
+    # and the colors it has still to try
+    back = [-1] * n_v
+    doms = [data] * n_v
+    free = [guard >> width] * n_v
     cand = [0] * n_v
-    last = n_v - 1
     nodes = 0
     stop = yield nodes
     count = 0
-    pos = 0
+    b = 0
     cand[0] = cand0
     while True:
-        m = cand[pos]
+        m = cand[b]
         if not m:
-            pos -= 1
-            if pos < 0:
+            b = back[b]
+            if b < 0:
                 return None, count, nodes
             continue
         low = m & -m
-        cand[pos] = m ^ low
+        cand[b] = m ^ low
         c = low.bit_length() - 1
         nodes += 1
         if nodes >= stop:
             stop = yield nodes
             nodes = 0
-        mask = masks[pos].get(c)
-        if mask is None:
-            targets = fwd[pos]
-            forbid = forbids.get((targets, c))
-            if forbid is None:
-                forbid = 0
-                for offset, gap in targets:
-                    lo, hi = max(0, c - gap + 1), min(k, c + gap - 1)
-                    forbid |= ((1 << (hi - lo + 1)) - 1) << (offset * width + lo)
-                forbids[targets, c] = forbid
-            mask = masks[pos][c] = data ^ (forbid << (pos * width))
-        new = doms[pos] & mask
-        if (new + data) & guard != guard:
-            continue
-        colors[pos] = c
-        if pos < last:
-            pos += 1
-            doms[pos] = new
-            cand[pos] = new >> (pos * width) & full
+        try:
+            mask = masks[b][c]
+        except KeyError:
+            mask = build(b, c)
+        new = doms[b] & mask
+        left = free[b]
+        touched = mask & left
+        if touched:
+            less = new - ones
+            if less & guard:
+                continue
+            forced = (new & less) + data & touched ^ touched
+            while forced:
+                bits = forced.bit_length()
+                low = 1 << (bits - 1)
+                forced ^= low
+                left ^= low
+                pos = n_v - bits // width
+                f = colors[pos] = (new >> (bits - width) & full).bit_length() - 1
+                nodes += 1
+                if nodes >= stop:
+                    stop = yield nodes
+                    nodes = 0
+                try:
+                    mask = masks[pos][f]
+                except KeyError:
+                    mask = build(pos, f)
+                new &= mask
+                touched = mask & left
+                if touched:
+                    less = new - ones
+                    if less & guard:
+                        new = 0
+                        break
+                    forced |= (new & less) + data & touched ^ touched
+            if not new:
+                continue
+        colors[b] = c
+        if left:
+            bits = left.bit_length()
+            nxt = n_v - bits // width
+            back[nxt] = b
+            b = nxt
+            doms[b] = new
+            free[b] = left ^ 1 << (bits - 1)
+            cand[b] = new >> (bits - width) & full
             continue
         if first:
             return tuple(colors), count, nodes
@@ -372,8 +444,9 @@ def _search(
     a translation carries a vertex of color 0 onto vertex 0.  Otherwise it
     is colors up to floor(k/2): the map c -> k - c carries a witness
     starting above that to a smaller one.  Witness searches and visitor
-    enumeration assign vertices in id order, so the first labeling met is
-    the least and a visitor sees every labeling in lexicographic order.
+    enumeration branch on vertices in id order, and a vertex forced to
+    its one color never branches, so the first labeling met is the least
+    and a visitor sees every labeling in lexicographic order.
     A witness search with race races one in the count order where that
     is not id order (see _drive), under the same first-vertex rule: either
     search finds a witness exactly when the span has one.
@@ -472,7 +545,7 @@ def enumerate_labelings(
 
     No symmetry reduction is applied: the count is over all labelings, and
     the optional visitor sees every color tuple exactly once, in order:
-    with a visitor the search assigns vertices in id order.  Without one
+    with a visitor the search branches on vertices in id order.  Without one
     it is a count, run in count_labelings' order.
     """
 
@@ -492,13 +565,13 @@ def count_labelings(
     """Number of k-L(p,q)-labelings satisfying the extra constraints too.
 
     Adding an extra pair (u, v, 1) counts exactly the labelings with
-    f(u) != f(v).  A count does not assign vertices in id order: vertex 0
-    comes first, then greedily the vertex with the most constrained pairs
-    to those already placed, which spends a quarter to a third of the
-    nodes on the strong window grid.  Every count runs in the calling
-    process.  workers is a no-op: it must be at least 1 and changes
-    nothing.  It stays only because bench/ still passes it, and goes with
-    the bench edits of ROADMAP item 1.
+    f(u) != f(v).  A count does not branch on vertices in id order:
+    vertex 0 comes first, then greedily the vertex with the most
+    constrained pairs to those already placed, which spends about half
+    the nodes on the strong window grid at spans 6 and 7.  Every count
+    runs in the calling process.  workers is a no-op: it must be at least
+    1 and changes nothing.  It stays only because bench/ still passes it,
+    and goes with the bench edits of ROADMAP item 1.
     """
 
     if workers < 1:

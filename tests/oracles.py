@@ -5,9 +5,9 @@ with numpy and shares no logic with the package's own constraint builder
 or search engine: a brute-force assignment filter, a row-transfer DP for
 the 4 x 4 strong grid, a window-transfer feasibility check for cyclic
 patterns, a recursive backtracker for least cyclic words, a set-based
-forward checker that meters nodes as the solver does, the torus stencil
-folded at the torus's own sides, literal semigroup membership, and the
-paper's hand-built block words.
+forward checker with unit propagation that meters nodes as the solver
+does, the torus stencil folded at the torus's own sides, literal
+semigroup membership, and the paper's hand-built block words.
 
 It also keeps the paper's own reduction, which no certificate of the
 package uses: the descent on torus sides (descent_terminal), the row
@@ -135,53 +135,72 @@ def forward_check(
     first: bool = False,
     visitor=None,
     max_nodes: int | None = None,
+    propagate: bool = True,
 ):
-    """Plain forward checking over the vertices in order, one set of
-    colors per domain, recursion per position.
+    """Forward checking over the vertices in order, one set of colors per
+    domain, recursion per branching position.
 
-    pairs holds (u, v, gap) constraints.  Position 0 tries colors 0..top,
-    every later position the colors left in its domain, ascending.  Each
-    color tried is one node; it removes the colors within gap of it from
-    the domain of every constrained later position and is a dead end when
-    one of those domains empties.  Returns (witness, count, nodes) with
-    colors listed by position: with first the search stops at its first
-    labeling, the witness, else it counts every labeling and shows each to
-    visitor.  Raises NodeCap on node max_nodes + 1.
+    pairs holds (u, v, gap) constraints.  Position 0 branches first, over
+    colors 0..top; every later branching position is the first unassigned
+    one in order and tries the colors left in its domain, ascending.  Each
+    color assigned is one node; it removes the colors within gap of it from
+    the domain of every constrained unassigned position, and is a dead end
+    when one of those domains empties.  With propagate, every assignment is
+    followed by the forced ones: while some unassigned position has one
+    color left, the first such position in order takes it, as one more
+    node, until none is left or a domain empties.  Without it this is plain
+    forward checking.  Returns (witness, count, nodes) with colors listed
+    by position: with first the search stops at its first labeling, the
+    witness, else it counts every labeling and shows each to visitor.
+    Raises NodeCap on node max_nodes + 1.
     """
 
     pos = {v: i for i, v in enumerate(order)}
-    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, gap in pairs:
-        a, b = sorted((pos[u], pos[v]))
-        later[a].append((b, gap))
+        a, b = pos[u], pos[v]
+        nbrs[a].append((b, gap))
+        nbrs[b].append((a, gap))
     colors = [0] * n
     tally = {"nodes": 0, "count": 0}
 
-    def go(a: int, doms: list[set[int]]):
+    def assign(a: int, c: int, doms: list[set[int]], free: set[int]) -> bool:
+        tally["nodes"] += 1
+        if max_nodes is not None and tally["nodes"] > max_nodes:
+            raise NodeCap(tally["nodes"])
+        colors[a] = c
+        free.discard(a)
+        for b, gap in nbrs[a]:
+            if b in free:
+                doms[b] = {d for d in doms[b] if abs(d - c) >= gap}
+                if not doms[b]:
+                    return False
+        return True
+
+    def go(a: int, doms: list[set[int]], free: set[int]):
         for c in sorted(doms[a]) if a else range(top + 1):
-            tally["nodes"] += 1
-            if max_nodes is not None and tally["nodes"] > max_nodes:
-                raise NodeCap(tally["nodes"])
-            new = list(doms)
-            for b, gap in later[a]:
-                new[b] = {d for d in doms[b] if abs(d - c) >= gap}
-                if not new[b]:
+            new, left = list(doms), set(free)
+            alive = assign(a, c, new, left)
+            while alive and propagate:
+                forced = [b for b in sorted(left) if len(new[b]) == 1]
+                if not forced:
                     break
+                alive = assign(forced[0], min(new[forced[0]]), new, left)
+            if not alive:
+                continue
+            if left:
+                found = go(min(left), new, left)
+                if found is not None:
+                    return found
+            elif first:
+                return tuple(colors)
             else:
-                colors[a] = c
-                if a < n - 1:
-                    found = go(a + 1, new)
-                    if found is not None:
-                        return found
-                elif first:
-                    return tuple(colors)
-                else:
-                    tally["count"] += 1
-                    if visitor is not None:
-                        visitor(tuple(colors))
+                tally["count"] += 1
+                if visitor is not None:
+                    visitor(tuple(colors))
         return None
 
-    witness = go(0, [set(range(k + 1)) for _ in range(n)])
+    witness = go(0, [set(range(k + 1)) for _ in range(n)], set(range(n)))
     return witness, tally["count"], tally["nodes"]
 
 

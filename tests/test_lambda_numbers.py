@@ -97,7 +97,7 @@ def test_public_window_check_shares_the_dispatch_cache_entry():
 
 
 def test_window_lemma_spends_one_budget():
-    # each count fits 1,400 nodes alone (1,311 and 575), not both together;
+    # each count fits 1,400 nodes alone (1,077 and 457), not both together;
     # no counterexample search runs, as the identity holds
     g = grid(STRONG, 4, 4)
     tight = SolveBudget(max_nodes=1400)

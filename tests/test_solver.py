@@ -26,7 +26,7 @@ from lpqcycles import (
     torus,
     validate,
 )
-from oracles import NodeCap, brute_rows, dp_count_strong_grid4, forward_check
+from oracles import NodeCap, brute_rows, dp_count_strong_grid4, forward_check, pair_gaps
 
 CART = ProductKind.CARTESIAN
 STRONG = ProductKind.STRONG
@@ -249,32 +249,34 @@ def test_exact_lambda_trivial_params():
 
 
 def test_node_budget_raises_with_node_count():
+    # the span-6 witness takes 49 nodes
     g = torus(STRONG, 7, 7)
     with pytest.raises(BudgetExhausted) as exc:
-        exists_labeling(g, 6, budget=SolveBudget(max_nodes=50))
-    assert exc.value.nodes == 51
+        exists_labeling(g, 6, budget=SolveBudget(max_nodes=48))
+    assert exc.value.nodes == 49
+    assert exists_labeling(g, 6, budget=SolveBudget(max_nodes=49)) is not None
     # same budget class for enumeration
     with pytest.raises(BudgetExhausted):
         enumerate_labelings(grid(CART, 3, 3), 4, budget=SolveBudget(max_nodes=10))
 
 
 def test_budget_covers_every_span_of_exact_lambda():
-    # the scan spends 222,442 nodes in all; no single span reaches 200,000
-    # (the largest, k = 7, takes 180,618 over both orders of the race)
+    # the scan spends 46,639 nodes in all; no single span reaches 40,000
+    # (the largest, k = 7, takes 35,897 over both orders of the race)
     g = torus(STRONG, 7, 8)
     with pytest.raises(BudgetExhausted):
-        exact_lambda(g, budget=SolveBudget(max_nodes=200_000))
+        exact_lambda(g, budget=SolveBudget(max_nodes=40_000))
     with pytest.raises(BudgetExhausted) as exc:
-        exact_lambda(g, budget=SolveBudget(max_nodes=222_441))
-    assert exc.value.nodes == 222_442
-    assert exact_lambda(g, budget=SolveBudget(max_nodes=222_442)).value == 8
+        exact_lambda(g, budget=SolveBudget(max_nodes=46_638))
+    assert exc.value.nodes == 46_639
+    assert exact_lambda(g, budget=SolveBudget(max_nodes=46_639)).value == 8
 
 
-@pytest.mark.parametrize("m,n,max_nodes", [(3, 9, 40_000), (6, 7, 20_000)])
+@pytest.mark.parametrize("m,n,max_nodes", [(3, 9, 15_000), (6, 7, 13_000)])
 def test_count_order_settles_infeasible_spans(m, n, max_nodes):
-    # id order alone spends 168,583 nodes on strong 3x9 and 65,983 on 6x7;
-    # the count order proves span 7 infeasible in 269 and 11,648 (its share
-    # of the race included), which brings the scans to 38,666 and 19,474
+    # id order alone spends 20,048 nodes on strong 3x9 and 16,469 on 6x7;
+    # the race proves span 7 infeasible in 217 and 8,464 (both orders'
+    # nodes), which brings the scans to 12,267 and 11,426
     res = exact_lambda(torus(STRONG, m, n), budget=SolveBudget(max_nodes=max_nodes))
     assert res.value == 8
 
@@ -282,7 +284,7 @@ def test_count_order_settles_infeasible_spans(m, n, max_nodes):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("max_nodes,expected", [(1_000, None), (1_400, 180)])
 def test_workers_share_one_node_budget(workers, max_nodes, expected):
-    # the full count takes 1,311 nodes whatever workers says: it is a no-op
+    # the full count takes 1,077 nodes whatever workers says: it is a no-op
     g, budget = grid(STRONG, 4, 4), SolveBudget(max_nodes=max_nodes)
     if expected is None:
         with pytest.raises(BudgetExhausted):
@@ -327,6 +329,17 @@ def test_node_budget_bounds_memory_at_a_huge_span():
     nodes, max_rss_kb = map(int, out.stdout.split())
     assert nodes == 11
     assert max_rss_kb < 120 * 1024
+
+
+@pytest.mark.parametrize("m,n,value", [(9, 9, 8), (4, 6, 10)])
+def test_exact_lambda_reaches_strong_tori_within_a_million_nodes(m, n, value):
+    # forced colors are assigned before branching: strong 9x9 takes 365,695
+    # nodes and 4x6 takes 467,971, where plain forward checking spent
+    # 8.22 M and 2.57 M
+    g = torus(STRONG, m, n)
+    res = exact_lambda(g, budget=SolveBudget(max_nodes=1_000_000))
+    assert res.value == value
+    assert validate(g, res.witness) == []
 
 
 def test_budget_validation():
@@ -522,12 +535,12 @@ def _differential_cases():
     return cases
 
 
-def _oracle(cons, order, k, top, first, visit):
+def _oracle(cons, order, k, top, first, visit, propagate=True):
     seen = []
     try:
         witness, count, nodes = forward_check(
             cons.n_vertices, cons.pairs, order, k, top, first,
-            seen.append if visit else None, _DIFF_CAP)
+            seen.append if visit else None, _DIFF_CAP, propagate)
     except NodeCap as cap:
         return "exhausted", cap.nodes, seen
     return (witness, count), nodes, seen
@@ -557,10 +570,14 @@ def _least_span(cons):
 
 @pytest.mark.parametrize("make,value", _differential_cases())
 def test_kernel_matches_a_plain_forward_checker(make, value):
-    # the packed-domain kernel against set-based forward checking: same
-    # witness, count, visitor sequence and node count (read from
-    # _Limits.spent) in id order and in the count order, searching for a
-    # witness, counting and visiting, at spans lambda - 1 and lambda
+    # the packed-domain kernel against set-based forward checking with the
+    # same propagation of forced colors: same witness, count, visitor
+    # sequence and node count (read from _Limits.spent) in id order and in
+    # the count order, searching for a witness, counting and visiting, at
+    # spans lambda - 1 and lambda.  Propagation changes only the nodes
+    # spent: plain forward checking, which assigns every position in
+    # order, finds the same witness and count and visits the same
+    # sequence, up to where either side stops at the cap
     cons = solver.compile_constraints(*make())
     ident, counted = list(range(cons.n_vertices)), solver._count_order(cons)
     value = _least_span(cons) if value is None else value
@@ -581,6 +598,12 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
 
                 want = _oracle(cons, order, k, top, first, visit)
                 assert _outcome(limits, call) == want, (k, order == ident, first, visit)
+                plain = _oracle(cons, order, k, top, first, visit, propagate=False)
+                if "exhausted" not in (want[0], plain[0]):
+                    assert plain[0] == want[0] and plain[2] == want[2]
+                else:
+                    shorter, longer = sorted((plain[2], want[2]), key=len)
+                    assert longer[:len(shorter)] == shorter
                 if order is (counted if counting else ident):
                     # the order _search takes for this mode
                     limits = solver._Limits(_DIFF_CAP)
@@ -589,3 +612,56 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
                     if got[0] != "exhausted" and got[0][0] is not None:
                         got = ((got[0][0].as_tuple(), got[0][1]),) + got[1:]
                     assert got == want
+
+
+def _compile_cases():
+    for kind in (CART, STRONG):
+        for m, n in ((3, 3), (3, 4), (4, 6), (5, 5), (3, 9), (7, 8)):
+            yield pytest.param(torus(kind, m, n), ConstraintParams(), (), True,
+                               id=f"torus-{kind.value}-{m}x{n}")
+        yield pytest.param(torus(kind, 4, 5), ConstraintParams(1, 0), (), True,
+                           id=f"torus-{kind.value}-4x5-p1q0")
+        for m, n in ((3, 3), (2, 4), (4, 4)):
+            yield pytest.param(grid(kind, m, n), ConstraintParams(), (), False,
+                               id=f"grid-{kind.value}-{m}x{n}")
+    for n in (3, 5, 8):
+        yield pytest.param(oriented_cycle(n), ConstraintParams(), (), True, id=f"cycle-{n}")
+    yield pytest.param(oriented_path(5), ConstraintParams(), (), False, id="path-5")
+    yield pytest.param(_lying_torus_shape(), ConstraintParams(), (), False, id="lying-torus-shape")
+    for length, conditions in ((7, (2, 2, 1, 1)), (12, (2, 1)), (9, (3, 0, 1))):
+        g, params, extra = _word_graph(length, conditions)
+        yield pytest.param(g, params, tuple(extra), True,
+                           id=f"word-{length}-{''.join(map(str, conditions))}")
+    g, params, extra = _word_graph(8, (2, 1))
+    yield pytest.param(g, params, tuple(extra) + ((0, 4, 3),), False, id="word-8-21-one-more")
+    # repeated and weaker extra pairs keep the larger gap
+    yield pytest.param(torus(CART, 3, 3), ConstraintParams(),
+                       ((1, 3, 5), (3, 1, 2), (0, 1, 1), (4, 2, 0)), False,
+                       id="torus-cartesian-3x3-extra")
+    # a 3 x 4 torus shape whose pairs only the column shift keeps
+    rows = Digraph(12, ((),) * 12, ProductShape(CART, 3, 4, cyclic=True))
+    yield pytest.param(rows, ConstraintParams(0, 0), ((0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 0, 2)),
+                       False, id="row-0-cycle-in-a-3x4-shape")
+
+
+@pytest.mark.parametrize("g,params,extra,transitive", _compile_cases())
+def test_compile_constraints_matches_its_definition(g, params, extra, transitive):
+    # pairs: the graph's constrained pairs (read off the adjacency matrix)
+    # with the extra pairs merged by the larger gap, gap 0 dropped, sorted.
+    # transitive: the row and the column shift of the shape's torus (one
+    # row of n when there is none) map the pair -> gap map onto itself
+    gaps = pair_gaps(g, params.p, params.q)
+    for u, v, gap in extra:
+        key = (min(u, v), max(u, v))
+        gaps[key] = max(gap, gaps.get(key, 0))
+    gaps = {pair: gap for pair, gap in gaps.items() if gap > 0}
+    cons = solver.compile_constraints(g, params, extra)
+    assert cons.pairs == tuple(sorted((u, v, gap) for (u, v), gap in gaps.items()))
+    n, shape = g.n_vertices, g.shape
+    cols = n
+    if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
+        cols = shape.cols
+    shifts = (lambda v: (v + cols) % n, lambda v: v // cols * cols + (v + 1) % cols)
+    images = [{(min(f(u), f(v)), max(f(u), f(v))): gap for (u, v), gap in gaps.items()}
+              for f in shifts]
+    assert cons.transitive == all(image == gaps for image in images) == transitive
