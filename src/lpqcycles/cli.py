@@ -133,10 +133,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
     kind = ProductKind(args.product)
-    if args.conditions:
-        conds = tuple(int(c) for c in args.conditions.split(","))
-    else:
-        conds = conditions_for(kind)
+    conds = conditions_for(kind)
+    if args.conditions is not None:
+        conds = tuple(map(int, args.conditions.split(","))) if args.conditions else ()
     span = _DICHOTOMY[kind][1] if args.span is None else args.span
 
     if args.feasible_up_to is not None:

@@ -4,6 +4,10 @@ An L(p,q)-labeling assigns each vertex a color from {0..k} so that colors
 across a directed edge differ by at least p and colors of vertices joined by
 a directed path of length two differ by at least q.  The budget k is part of
 the labeling (a witness need not use the color k).
+
+Colors are held in numpy arrays, and numpy is imported inside the
+functions that build or read one, so importing this module (and the
+package) does not load it.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain
-from typing import IO, Iterable
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .graphs import Digraph, ProductKind, ProductShape, oriented_cycle, product, two_step_pairs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,9 @@ DEFAULT_PARAMS = ConstraintParams(2, 1)
 class Labeling:
     """A total color assignment with a declared budget.
 
-    ``colors`` is an immutable integer array indexed by vertex id; ``shape``
-    carries grid metadata when the labeling lives on a product graph.
+    ``colors`` is indexed by vertex id; any integer sequence is taken and
+    held as a read-only int64 numpy array.  ``shape`` carries grid
+    metadata when the labeling lives on a product graph.
     """
 
     colors: np.ndarray
@@ -48,6 +54,8 @@ class Labeling:
     shape: ProductShape | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.colors, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "colors", arr)
@@ -180,6 +188,8 @@ def torus_violations(
     before any pair is listed; the result equals validate's on the torus.
     """
 
+    import numpy as np
+
     grid = np.asarray(grid)
     m, n = grid.shape
     if m < 3 or n < 3:
@@ -231,6 +241,8 @@ def _is_torus(g: Digraph) -> bool:
     shape = g.shape
     if shape is None or not shape.cyclic or g.n_vertices != shape.rows * shape.cols:
         return False
+    import numpy as np
+
     m, n = shape.rows, shape.cols
     i, j = np.divmod(np.arange(m * n), n)
     want = [(i + 1) % m * n + j, i * n + (j + 1) % n]
@@ -265,6 +277,8 @@ def validate(g: Digraph, f: Labeling, params: ConstraintParams = DEFAULT_PARAMS)
     pairs = constraint_pairs(g, params)
     if not pairs:
         return []
+    import numpy as np
+
     keys = sorted(pairs)
     us = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
     vs = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
@@ -284,6 +298,8 @@ def is_diagonal(f: Labeling) -> bool:
     """True when f(i, j) = f(i+1 mod m, j-1 mod n) holds at every cell."""
     if f.shape is None or not f.shape.cyclic:
         raise ValueError("labeling is not defined on a product of two cycles")
+    import numpy as np
+
     grid = f.color_grid()
     shifted = np.roll(np.roll(grid, -1, axis=0), 1, axis=1)
     return bool((grid == shifted).all())
@@ -353,6 +369,8 @@ def _parse_labeling(doc: dict) -> tuple[Labeling, ConstraintParams]:
     colors = [c for row in labels for c in row]
     if any(type(c) is not int for c in colors):
         raise ValueError("every label must be an integer")
+    import numpy as np
+
     try:
         flat = np.array(colors, dtype=np.int64)
     except OverflowError:

@@ -128,7 +128,9 @@ def _verify_local(kind: ProductKind, span: int, budget: SolveBudget) -> CheckRep
     differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
     _w, total = _search(plain, span, limits)
     _w, bad = _search(differ, span, limits)
-    witness = _search(differ, span, limits, first=True)[0] if bad else None
+    witness = None
+    if bad:
+        witness = Labeling(_search(differ, span, limits, first=True)[0], span, g.shape)
     name = f"{kind.value}-local-diagonality-span-{span}"
     return CheckReport(name, bad == 0, total, witness)
 

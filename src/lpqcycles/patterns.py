@@ -17,7 +17,9 @@ whenever L divides both m and n:
 The word search has no engine of its own: exists_cycle_pattern poses the
 offset conditions as extra pairs on an edgeless graph and calls the
 solver, so it runs on the same iterative, budgeted backtracker as every
-other search.
+other search.  Patterns are tuples of Python ints and are searched and
+checked without numpy; only lift_diagonal builds an array, the lifted
+Labeling's colors.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
+from . import solver
 from .graphs import Digraph, ProductKind, ProductShape
 from .labelings import ConstraintParams, Labeling
-from .solver import DEFAULT_BUDGET, SolveBudget, exists_labeling
+from .solver import DEFAULT_BUDGET, SolveBudget, _limits, _search
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,9 @@ def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeli
     L = pattern.length
     if m % L or n % L:
         raise ValueError(f"pattern length {L} must divide both {m} and {n}")
+    import numpy as np
+    from numpy.lib.stride_tricks import as_strided
+
     # the word twice over, read with stride one per row and per column,
     # is the L x L block word[(i + j) mod L] without an index array
     twice = np.array(pattern.colors * 2, dtype=np.int64)
@@ -154,14 +157,19 @@ def exists_cycle_pattern(
     """Lexicographically least pattern of a given length and span, or None.
 
     A word is a labeling of `length` unconnected vertices, so the search is
-    one solver call: offset t at gap c_t becomes the pairs (s, s + t mod
-    length) for every position s, a pair reached by several offsets keeps
-    the largest gap, and the solver returns its least witness under budget.
-    Offsets that wrap onto their own position rule the length out up front.
+    one witness search of the solver: offset t at gap c_t becomes the pairs
+    (s, s + t mod length) for every position s, a pair reached by several
+    offsets keeps the largest gap, and the solver returns the color tuple
+    of its least witness under budget, which becomes the pattern as it is.
+    An empty or negative condition vector raises ValueError, and offsets
+    that wrap onto their own position rule the length out, before any
+    search.
     """
 
     if length <= 0 or span < 0:
         raise ValueError("length must be positive and span nonnegative")
+    if not conditions or min(conditions) < 0:
+        raise ValueError("condition vector must be nonempty and nonnegative")
     for t, need in enumerate(conditions, start=1):
         if need >= 1 and t % length == 0:
             return None
@@ -173,10 +181,12 @@ def exists_cycle_pattern(
         for s in range(length)
     ]
     words = Digraph(length, ((),) * length)
-    f = exists_labeling(words, span, ConstraintParams(0, 0), budget, pairs)
-    if f is None:
+    # compiled through the module, where bench/spans.py times the call
+    cons = solver.compile_constraints(words, ConstraintParams(0, 0), pairs)
+    word, _count = _search(cons, span, _limits(budget), first=True)
+    if word is None:
         return None
-    pat = Pattern(f.as_tuple(), conditions)
+    pat = Pattern(word, conditions)
     if validate_pattern(pat):
         raise RuntimeError("pattern search returned an invalid word")
     return pat

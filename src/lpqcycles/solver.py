@@ -30,7 +30,9 @@ tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
 The pair -> gap map, the translation check and the neighbour lists of
 both vertex orders are built once per public call; a search builds each
 color mask when it first tries it, so nothing is built ahead of the first
-node.
+node.  The search works on Python ints and tuples and imports no numpy: a
+witness comes out of _search as its color tuple, and exists_labeling and
+exact_lambda wrap it in a Labeling, whose colors are a numpy array.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Generator, Iterable
-
-import numpy as np
 
 from .graphs import Digraph, ProductShape
 from .labelings import ConstraintParams, DEFAULT_PARAMS, Labeling, constraint_pairs
@@ -434,7 +434,7 @@ def _search(
     first: bool = False,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
     race: bool = False,
-) -> tuple[Labeling | None, int]:
+) -> tuple[tuple[int, ...] | None, int]:
     """The one search behind every public entry point.
 
     With first the search stops at the least witness, and the first vertex
@@ -453,9 +453,10 @@ def _search(
 
     Without first or visitor the search counts, in _count_order's order,
     and returns no witness.  Every search runs in the calling process.
-    Returns (witness, count), where the witness is the least labeling, or
-    None when there is none or the search did not look for one, and
-    charges the nodes spent to limits.
+    Returns (witness, count), where the witness is the least labeling's
+    color tuple, or None when there is none or the search did not look for
+    one, and charges the nodes spent to limits.  The public callers wrap a
+    witness in a Labeling; the word search reads the tuple as it is.
     """
 
     if k < 0:
@@ -468,10 +469,7 @@ def _search(
     rival = None
     if race and cons.count_forward is not cons.id_forward:
         rival = _run(n_v, cons.count_forward, k, cand0, True)
-    witness, count = _drive(_run(n_v, fwd, k, cand0, first, visitor), limits, rival)
-    if witness is None:
-        return None, count
-    return Labeling(np.array(witness, dtype=np.int64), k, cons.shape), count
+    return _drive(_run(n_v, fwd, k, cand0, first, visitor), limits, rival)
 
 
 def exists_labeling(
@@ -489,14 +487,14 @@ def exists_labeling(
     0, then translate a vertex of color 0 onto vertex 0.  Elsewhere it is
     colors up to floor(k/2), since c -> k - c keeps every separation,
     extra pairs included.  extra_pairs works as in count_labelings; the
-    cyclic word search (patterns.exists_cycle_pattern) is such a call on
-    an edgeless graph.
+    cyclic word search (patterns.exists_cycle_pattern) runs this search on
+    an edgeless graph and keeps the color tuple.
     """
 
     limits = _limits(budget)
     cons = compile_constraints(g, params, extra_pairs)
     witness, _count = _search(cons, k, limits, first=True)
-    return witness
+    return None if witness is None else Labeling(witness, k, cons.shape)
 
 
 def exact_lambda(
@@ -527,9 +525,9 @@ def exact_lambda(
     cons = compile_constraints(g, params)
     k = 0
     while True:
-        f, _count = _search(cons, k, limits, first=True, race=True)
-        if f is not None:
-            return LambdaWitness(k, f)
+        witness, _count = _search(cons, k, limits, first=True, race=True)
+        if witness is not None:
+            return LambdaWitness(k, Labeling(witness, k, cons.shape))
         k += 1
 
 

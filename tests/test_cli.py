@@ -464,6 +464,16 @@ def test_pattern_explicit_conditions(capsys):
     assert code == 0 and text.strip() == "0 2 4"
 
 
+@pytest.mark.parametrize("conditions", ["", "-1,2"])
+def test_pattern_bad_condition_vector_is_usage_error(capsys, conditions):
+    # an explicit empty vector is not the product's default
+    code, text, err = run(
+        "pattern", "--length", "5", f"--conditions={conditions}", capsys=capsys
+    )
+    assert (code, text) == (2, "")
+    assert err == "error: condition vector must be nonempty and nonnegative\n"
+
+
 def test_pattern_requires_length_or_scan(capsys):
     code, _, err = run("pattern", capsys=capsys)
     assert code == 2 and "needs --length" in err
@@ -534,6 +544,71 @@ def test_import_loads_no_process_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Runs cli.main on each argv list in one fresh process and reports, after
+# each, its exit code, its first line of output and whether numpy is loaded.
+_RUN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+import lpqcycles, lpqcycles.cli
+out = [["import", None, None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = lpqcycles.cli.main(argv)
+        except SystemExit as exc:  # argparse rejects usage this way
+            code = exc.code
+    out.append([argv[0], code, text.getvalue().partition("\\n")[0], "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_cli_runs_that_build_no_array_load_no_numpy(tmp_path):
+    (tmp_path / "not-json.json").write_text("{labels: [[0, 2,", encoding="utf-8")
+    (tmp_path / "no-labels.json").write_text(
+        '{"product": "strong", "m": 7, "n": 7, "p": 2, "q": 1, "k": 6}', encoding="utf-8"
+    )
+    doc = tmp_path / "construct.json"
+    no_array = [
+        (["lemmas", "--out", tmp_path / "lemmas.json"], 0),
+        (["decompose", "--target", "50"], 0),
+        (["pattern", "--product", "strong", "--length", "14"], 0),
+        (["pattern", "--feasible-up-to", "28"], 0),
+        (["lambda", "--product", "cartesian", "--m", "40", "--n", "41",
+          "--out", tmp_path / "cited.json"], 0),
+        (["lambda", "--product", "strong", "--m", "48", "--n", "50",
+          "--out", tmp_path / "interval.json"], 0),
+        # the five malformed inputs the bench's cli workload draws from
+        (["verify", tmp_path / "not-json.json"], 2),
+        (["verify", tmp_path / "no-labels.json"], 2),
+        (["lambda", "--product", "strong", "--m", "47", "--n", "60"], 2),
+        (["construct", "--product", "cartesian", "--m", "41", "--n", "43"], 2),
+        (["lambda", "--product", "hexagonal", "--m", "50", "--n", "50"], 2),
+    ]
+    with_array = [
+        (["construct", "--product", "strong", "--m", "49", "--n", "56", "--out", doc],
+         " 0 2 4 6 1 3 5"),
+        (["verify", doc], "valid: 2744 vertices, budget 6, no violations"),
+        (["lambda", "--product", "strong", "--m", "49", "--n", "56"], "Exact 6"),
+    ]
+    argvs = [[str(a) for a in argv] for argv, _ in no_array + with_array]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_ONE_PROCESS, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 1 + len(no_array) + len(with_array)
+    assert steps[0] == ["import", None, None, False]
+    for (argv, code), (name, got, _first, numpy_loaded) in zip(no_array, steps[1:]):
+        assert (name, got, numpy_loaded) == (argv[0], code, False), argv
+    for (argv, first), (_name, got, line, _loaded) in zip(with_array, steps[1 + len(no_array):]):
+        assert (got, line.startswith(first)) == (0, True), (argv, line)
+    assert steps[-1][-1] is True
 
 
 def test_readme_command_lines_parse():

@@ -319,3 +319,7 @@ def test_exists_cycle_pattern_guards():
         exists_cycle_pattern(0, 4, (2, 1))
     with pytest.raises(ValueError):
         exists_cycle_pattern(5, -1, (2, 1))
+    # a bad condition vector is refused before any search, found word or not
+    for conds in ((), (-1, 2)):
+        with pytest.raises(ValueError, match="condition vector"):
+            exists_cycle_pattern(3, 1, conds)

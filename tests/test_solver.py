@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from lpqcycles import lambda_numbers, solver
@@ -12,12 +13,14 @@ from lpqcycles import (
     BudgetExhausted,
     ConstraintParams,
     Digraph,
+    Labeling,
     ProductKind,
     ProductShape,
     SolveBudget,
     count_labelings,
     enumerate_labelings,
     exact_lambda,
+    exists_cycle_pattern,
     exists_labeling,
     grid,
     oriented_cycle,
@@ -115,6 +118,20 @@ def test_exists_witness_is_valid():
         assert w is not None
         assert w.k_budget == k
         assert validate(g, w) == []
+
+
+def test_witnesses_are_labelings_and_words_are_tuples():
+    # the search hands out color tuples; the public witnesses wrap them
+    witnesses = [
+        exists_labeling(torus(STRONG, 7, 7), 6),
+        exact_lambda(torus(CART, 3, 4)).witness,
+        lambda_numbers.verify_lemma_strong_local(span=7).witness,
+    ]
+    for w in witnesses:
+        assert isinstance(w, Labeling) and w.shape is not None
+        assert w.colors.dtype == np.int64 and not w.colors.flags.writeable
+    word = exists_cycle_pattern(7, 6, (2, 2, 1, 1)).colors
+    assert type(word) is tuple and all(type(c) is int for c in word)
 
 
 def test_exists_none_when_unsatisfiable():
@@ -459,7 +476,7 @@ def test_count_returns_the_least_labeling(case, workers):
     limits = solver._limits(SolveBudget())
     assert solver._search(cons, k, limits) == (None, count)
     witness, _count = solver._search(cons, k, limits, first=True)
-    assert witness_tuple(witness) == least
+    assert witness == least
 
 
 def test_strong_grid_counts_against_dp_oracle():
@@ -609,8 +626,6 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
                     limits = solver._Limits(_DIFF_CAP)
                     got = _outcome(limits, lambda visitor: solver._search(
                         cons, k, limits, first, visitor if visit else None))
-                    if got[0] != "exhausted" and got[0][0] is not None:
-                        got = ((got[0][0].as_tuple(), got[0][1]),) + got[1:]
                     assert got == want
 
 
