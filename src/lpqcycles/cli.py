@@ -241,8 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from . import solver
 from .graphs import Digraph, ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
-from .solver import DEFAULT_BUDGET, SolveBudget, _limits, _search, exact_lambda
+from .solver import DEFAULT_BUDGET, SolveBudget, _compile_pairs, _limits, _search, exact_lambda
 
 
 class CertificateKind(Enum):
@@ -125,7 +125,7 @@ def _verify_local(kind: ProductKind, span: int, budget: SolveBudget) -> CheckRep
     limits = _limits(budget)
     # compiled through the module, where bench/spans.py times the call
     plain = solver.compile_constraints(g, DEFAULT_PARAMS)
-    differ = solver.compile_constraints(g, DEFAULT_PARAMS, [(u, v, 1)])
+    differ = _compile_pairs(g.n_vertices, g.shape, plain.pairs + ((u, v, 1),))
     _w, total = _search(plain, span, limits)
     _w, bad = _search(differ, span, limits)
     witness = None

@@ -14,11 +14,11 @@ whenever L divides both m and n:
   * Strong product, L(2,2,1,1)-style: offsets 1..4 appear with required
     gaps (2, 2, 1, 1).
 
-The word search has no engine of its own: exists_cycle_pattern poses the
-offset conditions as extra pairs on an edgeless graph and calls the
-solver, so it runs on the same iterative, budgeted backtracker as every
-other search.  Patterns are tuples of Python ints and are searched and
-checked without numpy; only lift_diagonal builds an array, the lifted
+The word search has no engine of its own: exists_cycle_pattern compiles
+the offset conditions into (position, position, gap) pairs and hands them
+to the solver, so it runs on the same iterative, budgeted backtracker as
+every other search.  Patterns are tuples of Python ints and are searched
+and checked without numpy; only lift_diagonal builds an array, the lifted
 Labeling's colors.
 """
 
@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import solver
-from .graphs import Digraph, ProductKind, ProductShape
-from .labelings import ConstraintParams, Labeling
-from .solver import DEFAULT_BUDGET, SolveBudget, _limits, _search
+from .graphs import ProductKind, ProductShape
+from .labelings import Labeling
+from .solver import DEFAULT_BUDGET, SolveBudget, _compile_pairs, _limits, _search
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,8 @@ def exists_cycle_pattern(
 ) -> Pattern | None:
     """Lexicographically least pattern of a given length and span, or None.
 
-    A word is a labeling of `length` unconnected vertices, so the search is
-    one witness search of the solver: offset t at gap c_t becomes the pairs
+    A word is a labeling of `length` positions, so the search is one
+    witness search of the solver: offset t at gap c_t becomes the pairs
     (s, s + t mod length) for every position s, a pair reached by several
     offsets keeps the largest gap, and the solver returns the color tuple
     of its least witness under budget, which becomes the pattern as it is.
@@ -174,15 +173,13 @@ def exists_cycle_pattern(
         if need >= 1 and t % length == 0:
             return None
 
-    pairs = [
+    pairs = (
         (s, (s + t) % length, need)
         for t, need in enumerate(conditions, start=1)
         if need
         for s in range(length)
-    ]
-    words = Digraph(length, ((),) * length)
-    # compiled through the module, where bench/spans.py times the call
-    cons = solver.compile_constraints(words, ConstraintParams(0, 0), pairs)
+    )
+    cons = _compile_pairs(length, None, pairs)
     word, _count = _search(cons, span, _limits(budget), first=True)
     if word is None:
         return None

@@ -79,7 +79,7 @@ _Forward = list[tuple[tuple[int, int], ...]]
 
 @dataclass(frozen=True)
 class _Constraints:
-    """One graph's constraints, compiled once per public call.
+    """One graph's or cyclic word's constraints, compiled once per call.
 
     pairs lists every constrained (u, v, gap) with u < v and gap > 0, in
     sorted order; transitive says that translations keep every pair and
@@ -102,30 +102,31 @@ class _Constraints:
         return self.id_forward if order == list(range(self.n_vertices)) else _forward(self, order)
 
 
-def compile_constraints(
-    g: Digraph,
-    params: ConstraintParams,
-    extra_pairs: Iterable[tuple[int, int, int]] = (),
+def _compile_pairs(
+    n: int, shape: ProductShape | None, triples: Iterable[tuple[int, int, int]]
 ) -> _Constraints:
-    """The pair -> gap map of g and whether translations preserve it.
+    """The constraints of (u, v, gap) triples on vertices 0..n-1.
 
-    extra_pairs adds (u, v, gap) constraints on top of the graph's own,
-    merged by taking the larger gap.
+    A pair given more than once keeps its larger gap, a gap of 0 or less
+    constrains nothing, and the pairs come out sorted with u < v.
     """
 
     gaps: dict[tuple[int, int], int] = {}
-    if any(g.out_edges):
-        gaps = {pair: gap for pair, (gap, _kind) in constraint_pairs(g, params).items()}
-    n = g.n_vertices
-    for u, v, gap in extra_pairs:
+    for u, v, gap in triples:
         if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"bad extra pair ({u}, {v})")
+            raise ValueError(f"bad pair ({u}, {v})")
         key = (u, v) if u < v else (v, u)
         if gap > gaps.get(key, 0):
             gaps[key] = gap
-    gaps = {pair: gap for pair, gap in gaps.items() if gap > 0}
     pairs = tuple((u, v, gap) for (u, v), gap in sorted(gaps.items()))
-    return _Constraints(n, g.shape, pairs, _transitive(gaps, n, g.shape))
+    return _Constraints(n, shape, pairs, _transitive(gaps, n, shape))
+
+
+def compile_constraints(g: Digraph, params: ConstraintParams) -> _Constraints:
+    """The pair -> gap map of g and whether translations preserve it."""
+
+    triples = ((u, v, gap) for (u, v), (gap, _kind) in constraint_pairs(g, params).items())
+    return _compile_pairs(g.n_vertices, g.shape, triples)
 
 
 def _transitive(
@@ -477,22 +478,18 @@ def exists_labeling(
     k: int,
     params: ConstraintParams = DEFAULT_PARAMS,
     budget: SolveBudget = DEFAULT_BUDGET,
-    extra_pairs: Iterable[tuple[int, int, int]] = (),
 ) -> Labeling | None:
     """Lexicographically least k-L(p,q)-labeling of g, or None.
 
     The first vertex only tries colors the least witness can start with.
-    Where translations keep every constrained pair (tori, cyclic words,
-    oriented cycles) that is 0 alone: shift a labeling down to least color
-    0, then translate a vertex of color 0 onto vertex 0.  Elsewhere it is
-    colors up to floor(k/2), since c -> k - c keeps every separation,
-    extra pairs included.  extra_pairs works as in count_labelings; the
-    cyclic word search (patterns.exists_cycle_pattern) runs this search on
-    an edgeless graph and keeps the color tuple.
+    Where translations keep every constrained pair (tori, oriented cycles)
+    that is 0 alone: shift a labeling down to least color 0, then
+    translate a vertex of color 0 onto vertex 0.  Elsewhere it is colors
+    up to floor(k/2), since c -> k - c keeps every separation.
     """
 
     limits = _limits(budget)
-    cons = compile_constraints(g, params, extra_pairs)
+    cons = compile_constraints(g, params)
     witness, _count = _search(cons, k, limits, first=True)
     return None if witness is None else Labeling(witness, k, cons.shape)
 
@@ -556,25 +553,22 @@ def count_labelings(
     g: Digraph,
     k: int,
     params: ConstraintParams = DEFAULT_PARAMS,
-    extra_pairs: Iterable[tuple[int, int, int]] = (),
     budget: SolveBudget = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> int:
-    """Number of k-L(p,q)-labelings satisfying the extra constraints too.
+    """Number of k-L(p,q)-labelings of g.
 
-    Adding an extra pair (u, v, 1) counts exactly the labelings with
-    f(u) != f(v).  A count does not branch on vertices in id order:
-    vertex 0 comes first, then greedily the vertex with the most
-    constrained pairs to those already placed, which spends about half
-    the nodes on the strong window grid at spans 6 and 7.  Every count
-    runs in the calling process.  workers is a no-op: it must be at least
-    1 and changes nothing.  It stays only because bench/ still passes it,
-    and goes with the bench edits of ROADMAP item 1.
+    A count does not branch on vertices in id order: vertex 0 comes first,
+    then greedily the vertex with the most constrained pairs to those
+    already placed, which spends about half the nodes on the strong window
+    grid at spans 6 and 7.  Every count runs in the calling process.
+    workers is a no-op: it must be at least 1 and changes nothing.  It
+    stays only because bench/ still passes it, and goes with the bench
+    edits of ROADMAP item 1.
     """
 
     if workers < 1:
         raise ValueError("workers must be positive")
     limits = _limits(budget)
-    cons = compile_constraints(g, params, extra_pairs)
-    _witness, count = _search(cons, k, limits)
+    _witness, count = _search(compile_constraints(g, params), k, limits)
     return count

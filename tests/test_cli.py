@@ -10,6 +10,7 @@ import pytest
 
 from lpqcycles import (
     CertificateKind,
+    cli,
     labelings,
     lambda_cartesian,
     lambda_numbers,
@@ -287,6 +288,29 @@ def test_torus_too_large_for_memory_is_exit_2(capsys, monkeypatch):
                               "--n", "300003", capsys=capsys)
         assert (code, text) == (2, "")
         assert err == "error: Unable to allocate 671. GiB\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pattern", "--length", "5", "--span", "99999999999999999999"),
+    ("lemmas", "--span", "100000000000000000000"),
+], ids=["pattern", "lemmas"])
+def test_oversized_span_is_exit_2(capsys, argv):
+    # a search at span k works with 1 << (k + 1), which overflows before
+    # anything is allocated
+    code, text, err = run(*argv, capsys=capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and err.strip() != "error:"
+
+
+def test_memory_error_without_a_message_still_says_what(capsys, monkeypatch):
+    # a span small enough to shift can still outgrow memory, and the
+    # MemoryError raised then carries no message
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "exists_cycle_pattern", no_memory)
+    code, text, err = run("pattern", "--length", "5", "--span", "1000000000000", capsys=capsys)
+    assert (code, text, err) == (2, "", "error: out of memory\n")
 
 
 def test_verify_missing_file(capsys):

@@ -3,16 +3,16 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lpqcycles import lambda_numbers
+from lpqcycles import lambda_numbers, patterns, solver
 from lpqcycles import (
     BudgetExhausted,
     CertificateKind,
+    ConstraintParams,
     Labeling,
     ProductKind,
     SolveBudget,
     count_labelings,
     enumerate_labelings,
-    exists_labeling,
     grid,
     is_diagonal,
     lambda_cartesian,
@@ -42,6 +42,14 @@ STRONG = ProductKind.STRONG
 
 
 # --- local lemma reports -----------------------------------------------------
+
+def _breaking(kind):
+    """The window grid's constraints with the identity pair (u, v, 1) merged
+    in, as the window check compiles them."""
+    g, u, v = lambda_numbers._local_identity(kind)
+    plain = solver.compile_constraints(g, ConstraintParams())
+    return solver._compile_pairs(g.n_vertices, g.shape, plain.pairs + ((u, v, 1),))
+
 
 def test_cartesian_local_holds_and_count_matches_oracle():
     rep = verify_lemma_cartesian_local()
@@ -83,8 +91,8 @@ def test_counterexample_is_the_least_breaking_labeling():
     ]:
         rep = verify(span=k)
         assert not rep.holds
-        g, u, v = lambda_numbers._local_identity(kind)
-        least = exists_labeling(g, k, extra_pairs=[(u, v, 1)]).as_tuple()
+        least, _count = solver._search(_breaking(kind), k, solver._limits(SolveBudget()),
+                                       first=True)
         assert rep.witness.as_tuple() == least
 
 
@@ -102,10 +110,33 @@ def test_window_lemma_spends_one_budget():
     g = grid(STRONG, 4, 4)
     tight = SolveBudget(max_nodes=1400)
     assert count_labelings(g, 6, budget=tight) == 180
-    u, v = g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
-    assert count_labelings(g, 6, extra_pairs=[(u, v, 1)], budget=tight) == 0
+    limits = solver._limits(tight)
+    assert solver._search(_breaking(STRONG), 6, limits) == (None, 0)
+    assert limits.spent == 457
     with pytest.raises(BudgetExhausted):
         verify_lemma_strong_local(budget=tight)
+
+
+def test_cold_dispatch_spends_pinned_nodes_per_step(monkeypatch):
+    # a cold lambda_strong(1000, 2000) searches, in order: the span-5
+    # window's two counts (the floor), the span-6 word (none), the span-7
+    # word (the lift), and the span-6 window's two counts (the identity
+    # holds, so no counterexample search runs)
+    spent = []
+
+    def metered(cons, k, limits, *args, **kwargs):
+        before = limits.spent
+        found = solver._search(cons, k, limits, *args, **kwargs)
+        spent.append(limits.spent - before)
+        return found
+
+    monkeypatch.setattr(lambda_numbers, "_search", metered)
+    monkeypatch.setattr(patterns, "_search", metered)
+    lambda_numbers._verify_local.cache_clear()
+    lambda_numbers._least_word.cache_clear()
+    res = lambda_strong(1000, 2000)
+    assert (res.lo, res.hi) == (7, 7)
+    assert spent == [78, 76, 2_873, 1_032, 1_077, 457]
 
 
 def test_report_document_shape():

@@ -87,6 +87,18 @@ def witness_tuple(w):
     return None if w is None else w.as_tuple()
 
 
+def with_pairs(g, extra):
+    """g's constraints with extra (u, v, gap) pairs merged in, the way the
+    window check adds its identity pair."""
+    plain = solver.compile_constraints(g, ConstraintParams())
+    return solver._compile_pairs(g.n_vertices, g.shape, plain.pairs + tuple(extra))
+
+
+def search(cons, k, first=False):
+    """solver._search's (witness, count) under the default budget."""
+    return solver._search(cons, k, solver._limits(SolveBudget()), first=first)
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_enumeration_matches_brute_oracle(k):
     for g in small_family():
@@ -250,9 +262,8 @@ def test_asymmetric_extra_pair_keeps_the_least_witness(k, first_color):
     # (1, 3, k) forces the two neighbors (0, 1) and (1, 0) of vertex 0 onto
     # colors 0 and k, so no witness starts with color 0
     g = torus(CART, 3, 3)
-    extra = [(1, 3, k)]
     want = first_enumerated(g, k, keep=lambda c: abs(c[1] - c[3]) >= k)
-    assert witness_tuple(exists_labeling(g, k, extra_pairs=extra)) == want
+    assert search(with_pairs(g, [(1, 3, k)]), k, first=True)[0] == want
     assert (None if want is None else want[0]) == first_color
 
 
@@ -372,32 +383,30 @@ def test_determinism_across_runs():
     assert exists_labeling(g, 6).as_tuple() == exists_labeling(g, 6).as_tuple()
 
 
-def test_count_labelings_extra_pairs_restrict():
+def test_an_extra_pair_restricts_the_count():
     g = grid(CART, 3, 3)
     total = count_labelings(g, 4)
     rows = brute_rows(g, 4)
     assert total == len(rows)
     # counterexamples to f(4) = f(2): no constraint relates those vertices
-    differ = count_labelings(g, 4, extra_pairs=[(4, 2, 1)])
+    _w, differ = search(with_pairs(g, [(4, 2, 1)]), 4)
     assert differ == int((rows[:, 4] != rows[:, 2]).sum())
     assert differ == 0
-    differ5 = count_labelings(g, 5, extra_pairs=[(4, 2, 1)])
+    _w, differ5 = search(with_pairs(g, [(4, 2, 1)]), 5)
     rows5 = brute_rows(g, 5)
     assert differ5 == int((rows5[:, 4] != rows5[:, 2]).sum()) > 0
 
 
-def test_count_labelings_extra_pair_guard():
-    with pytest.raises(ValueError):
-        count_labelings(oriented_cycle(3), 4, extra_pairs=[(0, 0, 1)])
-    with pytest.raises(ValueError):
-        count_labelings(oriented_cycle(3), 4, extra_pairs=[(0, 9, 1)])
+def test_compile_pairs_guard():
+    for bad in ((0, 0, 1), (0, 9, 1), (-1, 2, 1)):
+        with pytest.raises(ValueError):
+            solver._compile_pairs(3, None, [bad])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_parallel_count_invariance(workers):
     g = grid(CART, 3, 3)
     assert count_labelings(g, 4, workers=workers) == 44
-    assert count_labelings(g, 4, extra_pairs=[(4, 2, 1)], workers=workers) == 0
 
 
 def test_parallel_matches_sequential_on_strong_grid():
@@ -469,10 +478,13 @@ def test_count_returns_the_least_labeling(case, workers):
     # order; both must find the same labelings.  A count returns no
     # witness: the least labeling is the id-order witness search's, and it
     # must be the first one enumeration meets.  workers reaches only
-    # count_labelings, where it is a no-op
+    # count_labelings, where it is a no-op; the cases with the identity
+    # pair, which no public call poses, are compiled as the window check
+    # compiles them
     g, k, extra, count, least = _enumerated(case)
-    assert count_labelings(g, k, extra_pairs=extra, workers=workers) == count
-    cons = solver.compile_constraints(g, ConstraintParams(), extra)
+    if not extra:
+        assert count_labelings(g, k, workers=workers) == count
+    cons = with_pairs(g, extra)
     limits = solver._limits(SolveBudget())
     assert solver._search(cons, k, limits) == (None, count)
     witness, _count = solver._search(cons, k, limits, first=True)
@@ -520,15 +532,17 @@ _DIFF_CAP = 3_000
 
 
 def _plain(make, *args):
-    return make(*args), ConstraintParams(), ()
+    return solver.compile_constraints(make(*args), ConstraintParams())
 
 
-def _word_graph(length, conditions):
-    # the cyclic word search's graph: edgeless, constrained by extra pairs
-    g = Digraph(length, ((),) * length)
-    extra = [(s, (s + t) % length, c)
-             for t, c in enumerate(conditions, 1) if c for s in range(length)]
-    return g, ConstraintParams(0, 0), extra
+def _word_pairs(length, conditions):
+    # the cyclic word search's pairs: offset t at gap c_t from every position
+    return [(s, (s + t) % length, c)
+            for t, c in enumerate(conditions, 1) if c for s in range(length)]
+
+
+def _word(length, conditions):
+    return solver._compile_pairs(length, None, _word_pairs(length, conditions))
 
 
 def _differential_cases():
@@ -547,7 +561,7 @@ def _differential_cases():
                                   id=f"cycle-{length}"))
     for conditions in ((2, 1), (2, 2, 1, 1), (3, 0, 1)):
         length = rng.randint(5, 15)
-        cases.append(pytest.param(functools.partial(_word_graph, length, conditions), None,
+        cases.append(pytest.param(functools.partial(_word, length, conditions), None,
                                   id=f"word-{length}-{''.join(map(str, conditions))}"))
     return cases
 
@@ -595,7 +609,7 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
     # spent: plain forward checking, which assigns every position in
     # order, finds the same witness and count and visits the same
     # sequence, up to where either side stops at the cap
-    cons = solver.compile_constraints(*make())
+    cons = make()
     ident, counted = list(range(cons.n_vertices)), solver._count_order(cons)
     value = _least_span(cons) if value is None else value
     for k in (value - 1, value):
@@ -629,50 +643,68 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
                     assert got == want
 
 
-def _compile_cases():
-    for kind in (CART, STRONG):
-        for m, n in ((3, 3), (3, 4), (4, 6), (5, 5), (3, 9), (7, 8)):
-            yield pytest.param(torus(kind, m, n), ConstraintParams(), (), True,
-                               id=f"torus-{kind.value}-{m}x{n}")
-        yield pytest.param(torus(kind, 4, 5), ConstraintParams(1, 0), (), True,
-                           id=f"torus-{kind.value}-4x5-p1q0")
-        for m, n in ((3, 3), (2, 4), (4, 4)):
-            yield pytest.param(grid(kind, m, n), ConstraintParams(), (), False,
-                               id=f"grid-{kind.value}-{m}x{n}")
-    for n in (3, 5, 8):
-        yield pytest.param(oriented_cycle(n), ConstraintParams(), (), True, id=f"cycle-{n}")
-    yield pytest.param(oriented_path(5), ConstraintParams(), (), False, id="path-5")
-    yield pytest.param(_lying_torus_shape(), ConstraintParams(), (), False, id="lying-torus-shape")
-    for length, conditions in ((7, (2, 2, 1, 1)), (12, (2, 1)), (9, (3, 0, 1))):
-        g, params, extra = _word_graph(length, conditions)
-        yield pytest.param(g, params, tuple(extra), True,
-                           id=f"word-{length}-{''.join(map(str, conditions))}")
-    g, params, extra = _word_graph(8, (2, 1))
-    yield pytest.param(g, params, tuple(extra) + ((0, 4, 3),), False, id="word-8-21-one-more")
-    # repeated and weaker extra pairs keep the larger gap
-    yield pytest.param(torus(CART, 3, 3), ConstraintParams(),
-                       ((1, 3, 5), (3, 1, 2), (0, 1, 1), (4, 2, 0)), False,
-                       id="torus-cartesian-3x3-extra")
-    # a 3 x 4 torus shape whose pairs only the column shift keeps
-    rows = Digraph(12, ((),) * 12, ProductShape(CART, 3, 4, cyclic=True))
-    yield pytest.param(rows, ConstraintParams(0, 0), ((0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 0, 2)),
-                       False, id="row-0-cycle-in-a-3x4-shape")
-
-
-@pytest.mark.parametrize("g,params,extra,transitive", _compile_cases())
-def test_compile_constraints_matches_its_definition(g, params, extra, transitive):
-    # pairs: the graph's constrained pairs (read off the adjacency matrix)
-    # with the extra pairs merged by the larger gap, gap 0 dropped, sorted.
-    # transitive: the row and the column shift of the shape's torus (one
-    # row of n when there is none) map the pair -> gap map onto itself
-    gaps = pair_gaps(g, params.p, params.q)
+def _merged(gaps, extra):
+    # extra pairs merged into gaps by the larger gap, gap 0 dropped
+    gaps = dict(gaps)
     for u, v, gap in extra:
         key = (min(u, v), max(u, v))
         gaps[key] = max(gap, gaps.get(key, 0))
-    gaps = {pair: gap for pair, gap in gaps.items() if gap > 0}
-    cons = solver.compile_constraints(g, params, extra)
+    return {pair: gap for pair, gap in gaps.items() if gap > 0}
+
+
+def _graph_case(g, params=ConstraintParams(), extra=()):
+    # the graph's pairs, read off its adjacency matrix, with extra pairs
+    # merged in the way the window check adds its identity pair
+    cons = solver.compile_constraints(g, params)
+    if extra:
+        cons = solver._compile_pairs(g.n_vertices, g.shape, cons.pairs + extra)
+    return cons, _merged(pair_gaps(g, params.p, params.q), extra)
+
+
+def _pairs_case(n, shape, triples):
+    return solver._compile_pairs(n, shape, triples), _merged({}, triples)
+
+
+def _compile_cases():
+    def case(make, *args, transitive, name):
+        return pytest.param(functools.partial(make, *args), transitive, id=name)
+
+    for kind in (CART, STRONG):
+        for m, n in ((3, 3), (3, 4), (4, 6), (5, 5), (3, 9), (7, 8)):
+            yield case(_graph_case, torus(kind, m, n), transitive=True,
+                       name=f"torus-{kind.value}-{m}x{n}")
+        yield case(_graph_case, torus(kind, 4, 5), ConstraintParams(1, 0), transitive=True,
+                   name=f"torus-{kind.value}-4x5-p1q0")
+        for m, n in ((3, 3), (2, 4), (4, 4)):
+            yield case(_graph_case, grid(kind, m, n), transitive=False,
+                       name=f"grid-{kind.value}-{m}x{n}")
+    for n in (3, 5, 8):
+        yield case(_graph_case, oriented_cycle(n), transitive=True, name=f"cycle-{n}")
+    yield case(_graph_case, oriented_path(5), transitive=False, name="path-5")
+    yield case(_graph_case, _lying_torus_shape(), transitive=False, name="lying-torus-shape")
+    for length, conditions in ((7, (2, 2, 1, 1)), (12, (2, 1)), (9, (3, 0, 1))):
+        yield case(_pairs_case, length, None, _word_pairs(length, conditions), transitive=True,
+                   name=f"word-{length}-{''.join(map(str, conditions))}")
+    yield case(_pairs_case, 8, None, _word_pairs(8, (2, 1)) + [(0, 4, 3)], transitive=False,
+               name="word-8-21-one-more")
+    # repeated and weaker extra pairs keep the larger gap
+    yield case(_graph_case, torus(CART, 3, 3), ConstraintParams(),
+               ((1, 3, 5), (3, 1, 2), (0, 1, 1), (4, 2, 0)), transitive=False,
+               name="torus-cartesian-3x3-extra")
+    # a 3 x 4 torus shape whose pairs only the column shift keeps
+    yield case(_pairs_case, 12, ProductShape(CART, 3, 4, cyclic=True),
+               ((0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 0, 2)), transitive=False,
+               name="row-0-cycle-in-a-3x4-shape")
+
+
+@pytest.mark.parametrize("make,transitive", _compile_cases())
+def test_compile_constraints_matches_its_definition(make, transitive):
+    # pairs: the definition's pair -> gap map, sorted.  transitive: the row
+    # and the column shift of the shape's torus (one row of n when there is
+    # none) map the pair -> gap map onto itself
+    cons, gaps = make()
     assert cons.pairs == tuple(sorted((u, v, gap) for (u, v), gap in gaps.items()))
-    n, shape = g.n_vertices, g.shape
+    n, shape = cons.n_vertices, cons.shape
     cols = n
     if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
         cols = shape.cols
