@@ -6,7 +6,8 @@ v->u) are all rejected at construction time.
 
 Vertices are 0-based integers.  Product graphs use row-major vertex ids:
 the vertex (i, j) of a product with n columns has id i*n + j.  The first
-factor indexes rows, the second indexes columns.
+factor indexes rows, the second indexes columns.  _EDGE_VECTORS states
+each product's edges once; product and the torus stencil of labelings read it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from typing import Iterator
 class ProductKind(Enum):
     CARTESIAN = "cartesian"
     STRONG = "strong"
+
+
+# (di, dj): di = 1 steps the first factor along an edge, dj = 1 the second
+_EDGE_VECTORS = {ProductKind.CARTESIAN: ((1, 0), (0, 1)),
+                 ProductKind.STRONG: ((1, 0), (0, 1), (1, 1))}
 
 
 @dataclass(frozen=True)
@@ -118,24 +124,20 @@ def _classify_factor(g: Digraph) -> str | None:
 def product(kind: ProductKind, g: Digraph, h: Digraph) -> Digraph:
     """Cartesian or strong product of two oriented graphs.
 
-    There is an edge from (a, x) to (b, y) when ab is an edge of g and x = y,
-    or a = b and xy is an edge of h; the strong product additionally has the
-    edges with ab in g and xy in h simultaneously.  Vertex (a, x) gets the
-    row-major id a * |V(h)| + x.  Grid metadata is attached when both factors
-    are cycles or both are paths.
+    Each edge vector (di, dj) of kind in _EDGE_VECTORS, in order, joins
+    (a, x) to every (b, y) with b = a (di = 0) or ab an edge of g (di = 1),
+    and likewise y for x in h.  Vertex (a, x) gets id a * |V(h)| + x; grid
+    metadata is attached when both factors are cycles or both are paths.
     """
 
     m, n = g.n_vertices, h.n_vertices
+    vectors = _EDGE_VECTORS[kind]
     out: list[tuple[int, ...]] = []
     for a in range(m):
-        g_outs = g.out_edges[a]
+        rows = ((a,), g.out_edges[a])
         for x in range(n):
-            h_outs = h.out_edges[x]
-            nbrs = [b * n + x for b in g_outs]
-            nbrs.extend(a * n + y for y in h_outs)
-            if kind is ProductKind.STRONG:
-                nbrs.extend(b * n + y for b in g_outs for y in h_outs)
-            out.append(tuple(nbrs))
+            cols = ((x,), h.out_edges[x])
+            out.append(tuple([b * n + y for di, dj in vectors for b in rows[di] for y in cols[dj]]))
 
     fg, fh = _classify_factor(g), _classify_factor(h)
     shape = None

@@ -19,7 +19,8 @@ from functools import cache
 from itertools import chain
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .graphs import Digraph, ProductKind, ProductShape, oriented_cycle, product, two_step_pairs
+from .graphs import (_EDGE_VECTORS, Digraph, ProductKind, ProductShape, oriented_cycle,
+                     product, two_step_pairs)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,14 +128,14 @@ _Stencil = tuple[tuple[tuple[int, int], tuple[int, ViolationKind]], ...]
 def _stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams) -> _Stencil:
     """The constrained offsets of C_m x C_n, each with its gap and kind.
 
-    Every edge of the torus is a translate of an edge vector ((1, 0),
-    (0, 1), and (1, 1) for the strong product) and every two-step pair a
-    translate of a sum of two of them.  Offsets are folded mod (m, n) and up
-    to sign; offsets that fold together on small tori keep the larger gap
-    and count as edges if either one is, and (0, 0) is dropped, exactly as
-    constraint_pairs merges the pairs they generate.  The fold is cached
-    per (kind, min(m, 5), min(n, 5), params) by _signed_stencil; this
-    only reduces its offsets mod (m, n).
+    Every edge of the torus is a translate of an edge vector of kind in
+    graphs._EDGE_VECTORS and every two-step pair a translate of a sum of
+    two of them; conditions_for projects these offsets onto i + j.  They
+    are folded mod (m, n) and up to sign; offsets that fold together on
+    small tori keep the larger gap and count as edges if either one is,
+    and (0, 0) is dropped, exactly as constraint_pairs merges the pairs
+    they generate.  The fold is cached per (kind, min(m, 5), min(n, 5),
+    params) by _signed_stencil; this only reduces its offsets mod (m, n).
     """
 
     return tuple(
@@ -156,7 +157,7 @@ def _signed_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams)
     side - 1, and is kept as -2 or -1.
     """
 
-    edges = [(1, 0), (0, 1)] + ([(1, 1)] if kind is ProductKind.STRONG else [])
+    edges = _EDGE_VECTORS[kind]
 
     def fold(di: int, dj: int) -> tuple[int, int]:
         return min((di % m, dj % n), (-di % m, -dj % n))
@@ -245,9 +246,7 @@ def _is_torus(g: Digraph) -> bool:
 
     m, n = shape.rows, shape.cols
     i, j = np.divmod(np.arange(m * n), n)
-    want = [(i + 1) % m * n + j, i * n + (j + 1) % n]
-    if shape.kind is ProductKind.STRONG:
-        want.append((i + 1) % m * n + (j + 1) % n)
+    want = [(i + di) % m * n + (j + dj) % n for di, dj in _EDGE_VECTORS[shape.kind]]
     if set(map(len, g.out_edges)) != {len(want)}:
         return False
     have = np.fromiter(chain.from_iterable(g.out_edges), dtype=np.int64).reshape(m * n, -1)

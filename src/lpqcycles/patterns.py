@@ -7,12 +7,9 @@ that wraps to the position itself (L divides t) compares the color with
 itself and fails whenever c_t >= 1; short cycles really do forbid such
 patterns.  Lifting a pattern along anti-diagonals, f(i, j) = g((i + j) mod
 L), turns pattern validity into labeling validity on the m x n torus
-whenever L divides both m and n:
-
-  * Cartesian product, L(2,1): edge offsets project to 1 and two-step
-    offsets to 2, so the condition vector is (2, 1).
-  * Strong product, L(2,2,1,1)-style: offsets 1..4 appear with required
-    gaps (2, 2, 1, 1).
+whenever L divides both m and n, under the condition vector that
+conditions_for reads off the torus stencil: the product's edge vectors
+(graphs._EDGE_VECTORS) and their two-step sums, projected onto i + j.
 
 The word search has no engine of its own: exists_cycle_pattern compiles
 the offset conditions into (position, position, gap) pairs and hands them
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .graphs import ProductKind, ProductShape
-from .labelings import Labeling
+from .labelings import DEFAULT_PARAMS, Labeling, _signed_stencil
 from .solver import DEFAULT_BUDGET, SolveBudget, _compile_pairs, _limits, _search
 
 
@@ -65,10 +62,12 @@ class PatternViolation:
 
 
 def conditions_for(kind: ProductKind) -> tuple[int, ...]:
-    """Condition vector whose patterns lift to valid L(2,1)-labelings."""
-    if kind is ProductKind.CARTESIAN:
-        return (2, 1)
-    return (2, 2, 1, 1)
+    """Condition vector whose patterns lift to valid L(2,1)-labelings: c_t is
+    the largest gap of the unfolded torus stencil's offsets at di + dj = t."""
+    gaps: dict[int, int] = {}
+    for (di, dj), (gap, _) in _signed_stencil(kind, 5, 5, DEFAULT_PARAMS):
+        gaps[di + dj] = max(gap, gaps.get(di + dj, 0))
+    return tuple(gaps.get(t, 0) for t in range(1, max(gaps) + 1))
 
 
 def validate_pattern(pattern: Pattern) -> list[PatternViolation]:

@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 
 from lpqcycles import (
     Digraph,
     ProductKind,
     ProductShape,
+    conditions_for,
     grid,
     oriented_cycle,
     oriented_path,
     product,
     torus,
+    torus_violations,
     two_step_pairs,
 )
 
@@ -70,6 +73,59 @@ def test_strong_product_edges():
     g = product(STRONG, oriented_cycle(3), oriented_cycle(3))
     assert set(g.out_edges[0]) == {3, 1, 4}  # down, right, and both
     assert g.n_edges == 27
+
+
+def product_by_definition(kind, g, h):
+    """Out-neighbours of (a, x) read off the definition of the product:
+    first-factor steps, then second-factor steps, then (strong) both."""
+    n = h.n_vertices
+    out = []
+    for a in range(g.n_vertices):
+        for x in range(n):
+            nbrs = [b * n + x for b in g.out_edges[a]]
+            nbrs += [a * n + y for y in h.out_edges[x]]
+            if kind is STRONG:
+                nbrs += [b * n + y for b in g.out_edges[a] for y in h.out_edges[x]]
+            out.append(tuple(nbrs))
+    return tuple(out)
+
+
+FORK = Digraph(3, ((1, 2), (2,), ()))  # out-degree 2 at vertex 0
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (oriented_cycle(4), oriented_path(3)),
+        (oriented_path(3), oriented_cycle(5)),
+        (FORK, oriented_cycle(3)),
+        (oriented_path(2), FORK),
+        (FORK, FORK),
+    ],
+)
+def test_product_matches_its_definition(kind, g, h):
+    """Mixed and irregular factors, which carry no shape, get exactly the
+    out-neighbours of the definition, in its order."""
+    p = product(kind, g, h)
+    assert p.out_edges == product_by_definition(kind, g, h)
+    assert p.shape is None
+
+
+def test_kind_must_be_a_product_kind():
+    """A kind given by its name is not read as some product: every
+    function that looks up the product's edge vectors raises."""
+    lift = np.add.outer(range(6), range(6)) % 3 * 2  # the Cartesian word (0, 2, 4)
+    assert len(torus_violations(STRONG, lift)) == 72
+    for call in (
+        lambda: product("strong", oriented_cycle(3), oriented_path(3)),
+        lambda: torus("strong", 3, 3),
+        lambda: grid("cartesian", 3, 3),
+        lambda: torus_violations("strong", lift),
+        lambda: conditions_for("cartesian"),
+    ):
+        with pytest.raises(KeyError):
+            call()
 
 
 def test_product_shapes():

@@ -149,6 +149,25 @@ def test_cached_stencil_matches_the_direct_fold(kind, params):
     assert _stencil(kind, 40, 41, params) == torus_stencil(kind, 40, 41, params)
 
 
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", [ConstraintParams(2, 1), ConstraintParams(1, 2),
+                                    ConstraintParams(3, 3), ConstraintParams(0, 1),
+                                    ConstraintParams(1, 0)])
+def test_stencil_translates_to_the_constraint_pairs(kind, params):
+    """Every offset of the stencil, translated to every cell, gives exactly
+    the pair map of the torus graph, gap and kind included, on sides 3..12."""
+    for m in range(3, 13):
+        for n in range(3, 13):
+            pairs = {}
+            for (di, dj), gap_kind in _stencil(kind, m, n, params):
+                for i in range(m):
+                    for j in range(n):
+                        u, w = i * n + j, (i + di) % m * n + (j + dj) % n
+                        key = (min(u, w), max(u, w))
+                        assert pairs.setdefault(key, gap_kind) == gap_kind
+            assert pairs == constraint_pairs(torus(kind, m, n), params)
+
+
 def lift_conditions(kind, params):
     """The word conditions under which a diagonal lift satisfies params:
     an edge joins cells one or (strong diagonal) two anti-diagonals apart,
