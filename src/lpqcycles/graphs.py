@@ -40,6 +40,10 @@ class ProductShape:
     cols: int
     cyclic: bool
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, ProductKind):
+            raise TypeError(f"kind must be a ProductKind, not {self.kind!r}")
+
     def vertex_id(self, i: int, j: int) -> int:
         if self.cyclic:
             i %= self.rows

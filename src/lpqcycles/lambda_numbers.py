@@ -141,11 +141,11 @@ def verify_lemma_cartesian_local(
     """Check that every span-4 labeling of the 3 x 3 Cartesian path grid
     satisfies f(1, 1) = f(0, 2), by enumerating all of them.
 
-    No symmetry reduction is used; count is the full number of labelings,
-    counted in this process.  A different span probes the same identity
-    where it is not expected to hold (at 5 a counterexample exists and is
-    returned).  Reports are cached with the dispatch's, per span and
-    budget.
+    count is the full number of labelings, counted in this process (the
+    count pairs labelings under c -> span - c, see count_labelings).  A
+    different span probes the same identity where it is not expected to
+    hold (at 5 a counterexample exists and is returned).  Reports are
+    cached with the dispatch's, per span and budget.
     """
 
     span = _DICHOTOMY[ProductKind.CARTESIAN][1] if span is None else span

@@ -22,17 +22,25 @@ and takes the two searches of a race in turn; every search runs in the
 calling process.  A budget limits a whole public call: every span
 exact_lambda tries and both searches of a race draw on the same nodes.
 
-A witness search on a graph whose constrained pairs translations preserve
-(tori, cyclic words, oriented cycles) lets vertex 0 try color 0 alone:
-shifting a labeling down to least color 0 keeps every gap, and translating
-a vertex of color 0 onto vertex 0 keeps it valid.  Elsewhere vertex 0
-tries colors up to floor(k/2).  Counting and enumeration break no symmetry.
-The pair -> gap map, the translation check and the neighbour lists of
-both vertex orders are built once per public call; a search builds each
-color mask when it first tries it, so nothing is built ahead of the first
-node.  The search works on Python ints and tuples and imports no numpy: a
-witness comes out of _search as its color tuple, and exists_labeling and
-exact_lambda wrap it in a Labeling, whose colors are a numpy array.
+Searches skip labelings that a symmetry of the constraints carries onto
+another one they keep, by rules that keep the least witness.  A witness
+search on a graph whose constrained pairs translations preserve (tori,
+cyclic words, oriented cycles) lets vertex 0 try color 0 alone: shifting
+a labeling down to least color 0 keeps every gap, and translating a
+vertex of color 0 onto vertex 0 keeps it valid.  There the point
+reflection v -> -v fixes vertex 0 and keeps every pair too, so vertex 1
+must also take at most the color of its image: the least witness does,
+as its reflection is a witness no smaller.  Elsewhere vertex 0 tries
+colors up to floor(k/2).  A count halves its work by the color reversal
+c -> k - c, which keeps every gap: vertex 0 runs over the colors below
+k/2, that count doubles, and even k adds the run at k/2.  Enumeration
+with a visitor breaks no symmetry.  The pair -> gap map, the translation
+check and the neighbour lists of both vertex orders are built once per
+public call; a search builds each color mask when it first tries it, so
+nothing is built ahead of the first node.  The search works on Python
+ints and tuples and imports no numpy: a witness comes out of _search as
+its color tuple, and exists_labeling and exact_lambda wrap it in a
+Labeling, whose colors are a numpy array.
 """
 
 from __future__ import annotations
@@ -92,13 +100,28 @@ class _Constraints:
     transitive: bool
 
     @cached_property
+    def mirror(self) -> int | None:
+        """N(1), where N is the point reflection v -> -v of the torus the
+        ids are read as (see _cols), when transitive holds and N(1) is not
+        vertex 1 itself; else None.  N fixes vertex 0 and keeps every pair
+        that translations keep: {-u, -v} is {u, v} shifted by -(u + v)."""
+
+        n, cols = self.n_vertices, _cols(self.n_vertices, self.shape)
+        image = cols - 1 if cols > 1 else n - 1
+        return image if self.transitive and image > 1 else None
+
+    @cached_property
+    def count_order(self) -> list[int]:
+        return _count_order(self)
+
+    @cached_property
     def id_forward(self) -> _Forward:
         return _forward(self)
 
     @cached_property
     def count_forward(self) -> _Forward:
-        """_forward in _count_order's order; id_forward where they agree."""
-        order = _count_order(self)
+        """_forward in count_order; id_forward where they agree."""
+        order = self.count_order
         return self.id_forward if order == list(range(self.n_vertices)) else _forward(self, order)
 
 
@@ -119,7 +142,7 @@ def _compile_pairs(
         if gap > gaps.get(key, 0):
             gaps[key] = gap
     pairs = tuple((u, v, gap) for (u, v), gap in sorted(gaps.items()))
-    return _Constraints(n, shape, pairs, _transitive(gaps, n, shape))
+    return _Constraints(n, shape, pairs, _transitive(gaps, n, _cols(n, shape)))
 
 
 def compile_constraints(g: Digraph, params: ConstraintParams) -> _Constraints:
@@ -129,22 +152,25 @@ def compile_constraints(g: Digraph, params: ConstraintParams) -> _Constraints:
     return _compile_pairs(g.n_vertices, g.shape, triples)
 
 
-def _transitive(
-    gaps: dict[tuple[int, int], int], n: int, shape: ProductShape | None
-) -> bool:
-    """Whether the row and the column shift keep every pair and its gap.
+def _cols(n: int, shape: ProductShape | None) -> int:
+    """The columns of the torus the ids 0..n-1 are read as, row-major: the
+    shape's, when it claims a torus of n cells, else n (a single row)."""
 
-    The ids are read row-major as a torus: the shape's, when it claims one
-    of n cells, else a single row of n, whose column shift is the rotation
-    v -> v + 1 mod n.  The two shifts move every vertex onto vertex 0, and
-    a shift that sends each pair to a pair of the same gap permutes the
-    pairs, so one lookup per pair and shift decides invariance whatever
-    the shape claims.
+    if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
+        return shape.cols
+    return n
+
+
+def _transitive(gaps: dict[tuple[int, int], int], n: int, cols: int) -> bool:
+    """Whether the row and the column shift of the torus with cols columns
+    (see _cols) keep every pair and its gap.
+
+    A single row's column shift is the rotation v -> v + 1 mod n.  The two
+    shifts move every vertex onto vertex 0, and a shift that sends each
+    pair to a pair of the same gap permutes the pairs, so one lookup per
+    pair and shift decides invariance whatever the shape claims.
     """
 
-    cols = n
-    if shape is not None and shape.cyclic and shape.rows * shape.cols == n:
-        cols = shape.cols
     for (u, v), gap in gaps.items():
         if cols < n:  # the row shift v -> v + cols mod n; one row is its own shift
             a, b = (u + cols) % n, (v + cols) % n
@@ -232,6 +258,7 @@ def _run(
     cand0: int,
     first: bool,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
+    rule: tuple[int, int] | None = None,
 ) -> _Run:
     """Backtracking core over positions 0..n_v-1, as a generator that
     _drive resumes one slice at a time.
@@ -261,6 +288,12 @@ def _run(
     gap spread over the offsets of pos's neighbours (positions with one
     neighbour list, most positions of a word, share it), so memory grows
     with the nodes spent.
+
+    A rule (a, b) admits only labelings with color(a) <= color(b), and
+    lives in the masks of a and b: a at c also clears the colors below c
+    from b's field, b at c those above c from a's, and either sets the
+    other's guard bit, so forcing and wipeouts see the cut as they see a
+    gap's.
 
     Each assignment is followed by the forced ones: while an unassigned
     position has one color left, the lowest such position takes it, as
@@ -297,7 +330,14 @@ def _run(
         for gap, fields in spread:
             lo, hi = max(0, c - gap + 1), min(k, c + gap - 1)
             forbid |= fields * (((1 << (hi - lo + 1)) - 1) << lo | 1 << (k + 1))
-        mask = masks[pos][c] = data ^ (forbid << ((n_v - 1 - pos - top) * width))
+        forbid <<= (n_v - 1 - pos - top) * width
+        if rule is not None and pos in rule:
+            if pos == rule[0]:
+                other, cut = rule[1], (1 << c) - 1  # the colors below c
+            else:
+                other, cut = rule[0], full >> (c + 1) << (c + 1)  # those above c
+            forbid |= (cut | 1 << (k + 1)) << ((n_v - 1 - other) * width)
+        mask = masks[pos][c] = data ^ forbid
         return mask
 
     colors = [0] * n_v
@@ -438,39 +478,56 @@ def _search(
 ) -> tuple[tuple[int, ...] | None, int]:
     """The one search behind every public entry point.
 
-    With first the search stops at the least witness, and the first vertex
-    tries only the colors the least witness can start with.  When
-    cons.transitive holds (tori, cyclic words, oriented cycles) that is 0
-    alone: shifting a labeling down to least color 0 keeps every gap, and
-    a translation carries a vertex of color 0 onto vertex 0.  Otherwise it
-    is colors up to floor(k/2): the map c -> k - c carries a witness
-    starting above that to a smaller one.  Witness searches and visitor
-    enumeration branch on vertices in id order, and a vertex forced to
-    its one color never branches, so the first labeling met is the least
-    and a visitor sees every labeling in lexicographic order.
-    A witness search with race races one in the count order where that
-    is not id order (see _drive), under the same first-vertex rule: either
-    search finds a witness exactly when the span has one.
+    With first the search stops at the least witness.  The rules below
+    skip labelings, never the least witness, so that is still the first
+    labeling met.  When cons.transitive holds (tori, cyclic words,
+    oriented cycles) the first vertex tries color 0 alone: shifting a
+    labeling down to least color 0 keeps every gap, and a translation
+    carries a vertex of color 0 onto vertex 0.  There vertex 1 must also
+    take at most the color of N(1) = cons.mirror, the image of 1 under the
+    point reflection N: v -> -v, which fixes vertex 0 and keeps every pair.
+    The least witness w keeps that rule, since w after N is a witness too,
+    agrees with w at vertex 0 and has w(N(1)) at vertex 1, so
+    w(1) <= w(N(1)).  Otherwise the first vertex tries colors up to
+    floor(k/2): the map c -> k - c carries a witness starting above that
+    to a smaller one.  Witness searches and visitor enumeration branch on
+    vertices in id order, and a vertex forced to its one color never
+    branches, so the first labeling met is the least and a visitor sees
+    every labeling in lexicographic order; enumeration breaks no symmetry.
+    A witness search with race races one in the count order where that is
+    not id order (see _drive), under the same rules: either search finds a
+    witness exactly when the span has one.
 
-    Without first or visitor the search counts, in _count_order's order,
-    and returns no witness.  Every search runs in the calling process.
-    Returns (witness, count), where the witness is the least labeling's
-    color tuple, or None when there is none or the search did not look for
-    one, and charges the nodes spent to limits.  The public callers wrap a
+    Without first or visitor the search counts, in count_order, and returns
+    no witness.  The map c -> k - c pairs the labelings whose first vertex
+    takes c with those where it takes k - c, so the count runs the first
+    vertex over the colors below k/2 and doubles, then adds a run at k/2
+    for even k.  Every search runs in the calling process.  Returns
+    (witness, count), where the witness is the least labeling's color
+    tuple, or None when there is none or the search did not look for one,
+    and charges the nodes spent to limits.  The public callers wrap a
     witness in a Labeling; the word search reads the tuple as it is.
     """
 
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counting = not first and visitor is None
-    fwd = cons.count_forward if counting else cons.id_forward
+    n_v = cons.n_vertices
+    if not first and visitor is None:
+        half = (k + 1) // 2  # the colors below k/2
+        low = _drive(_run(n_v, cons.count_forward, k, (1 << half) - 1, False), limits)[1]
+        if k % 2:
+            return None, 2 * low
+        mid = _drive(_run(n_v, cons.count_forward, k, 1 << half, False), limits)[1]
+        return None, 2 * low + mid
     top = (0 if cons.transitive else k // 2) if first else k
     cand0 = (1 << (top + 1)) - 1
-    n_v = cons.n_vertices
+    rule = (1, cons.mirror) if first and cons.mirror is not None else None
     rival = None
     if race and cons.count_forward is not cons.id_forward:
-        rival = _run(n_v, cons.count_forward, k, cand0, True)
-    return _drive(_run(n_v, fwd, k, cand0, first, visitor), limits, rival)
+        order = cons.count_order
+        rival = _run(n_v, cons.count_forward, k, cand0, True,
+                     rule=rule and (order.index(rule[0]), order.index(rule[1])))
+    return _drive(_run(n_v, cons.id_forward, k, cand0, first, visitor, rule), limits, rival)
 
 
 def exists_labeling(
@@ -484,8 +541,12 @@ def exists_labeling(
     The first vertex only tries colors the least witness can start with.
     Where translations keep every constrained pair (tori, oriented cycles)
     that is 0 alone: shift a labeling down to least color 0, then
-    translate a vertex of color 0 onto vertex 0.  Elsewhere it is colors
-    up to floor(k/2), since c -> k - c keeps every separation.
+    translate a vertex of color 0 onto vertex 0.  There vertex 1 also takes
+    at most the color of its image under the point reflection v -> -v,
+    which keeps every pair and fixes vertex 0, so it carries the least
+    witness to one no smaller, and the least witness keeps the rule.
+    Elsewhere the first vertex tries colors up to floor(k/2), since
+    c -> k - c keeps every separation.
     """
 
     limits = _limits(budget)
@@ -505,17 +566,19 @@ def exact_lambda(
     span count against it.  The constraints and the count order
     (see count_labelings) are built once for the whole scan.  Each span
     runs exists_labeling's id-order search and a witness search in the
-    count order in turn, 4096 nodes at a time, the count order first.  A
-    count-order search that ends with no witness moves the scan on to the
-    next span; one that ends with a witness leaves the id-order search to
-    run on alone to the least witness; an id-order search that ends first
-    settles the span.  The count order proves most infeasible spans far
-    sooner, and a span costs at most twice the id-order nodes plus one
-    slice of 4096.  Where the count order is id order (Cartesian tori)
-    there is one search.  Every graph has a labeling at span
-    (n - 1) * max(p, q) (color vertex i with i * max(p, q)), so the scan
-    ends by that span; exists_labeling(g, k) answers whether the span is
-    at most k.
+    count order in turn, 4096 nodes at a time, the count order first, both
+    under exists_labeling's rules (on tori vertex 0 takes color 0 and
+    vertex 1 at most the color of its reflection), which keep the least
+    witness and so every witness and None.  A count-order search that
+    ends with no witness moves the scan on to the next span; one that ends
+    with a witness leaves the id-order search to run on alone to the least
+    witness; an id-order search that ends first settles the span.  The
+    count order proves most infeasible spans far sooner, and a span costs
+    at most twice the id-order nodes plus one slice of 4096.  Where the
+    count order is id order (Cartesian tori) there is one search.  Every
+    graph has a labeling at span (n - 1) * max(p, q) (color vertex i with
+    i * max(p, q)), so the scan ends by that span; exists_labeling(g, k)
+    answers whether the span is at most k.
     """
 
     limits = _limits(budget)
@@ -538,10 +601,10 @@ def enumerate_labelings(
     """Count all k-L(p,q)-labelings of g, showing each to visitor in
     lexicographic order.
 
-    No symmetry reduction is applied: the count is over all labelings, and
-    the optional visitor sees every color tuple exactly once, in order:
-    with a visitor the search branches on vertices in id order.  Without one
-    it is a count, run in count_labelings' order.
+    The count is over all labelings, and the optional visitor sees every
+    color tuple exactly once, in order: with a visitor the search breaks
+    no symmetry and branches on vertices in id order.  Without one it is a
+    count, run as count_labelings runs it.
     """
 
     limits = _limits(budget)
@@ -561,7 +624,12 @@ def count_labelings(
     A count does not branch on vertices in id order: vertex 0 comes first,
     then greedily the vertex with the most constrained pairs to those
     already placed, which spends about half the nodes on the strong window
-    grid at spans 6 and 7.  Every count runs in the calling process.
+    grid at spans 6 and 7.  The color reversal c -> k - c keeps every gap
+    and pairs each labeling whose vertex 0 takes c with one where it takes
+    k - c, so vertex 0 runs over the colors below k/2 and that count
+    doubles; for even k one more run, under the same budget, adds the
+    labelings with vertex 0 at k/2.  That halves the nodes again.  Every
+    count runs in the calling process.
     workers is a no-op: it must be at least 1 and changes nothing.  It
     stays only because bench/ still passes it, and goes with the bench
     edits of ROADMAP item 1.

@@ -136,6 +136,8 @@ def forward_check(
     visitor=None,
     max_nodes: int | None = None,
     propagate: bool = True,
+    below=None,
+    halve: bool = False,
 ):
     """Forward checking over the vertices in order, one set of colors per
     domain, recursion per branching position.
@@ -145,22 +147,29 @@ def forward_check(
     one in order and tries the colors left in its domain, ascending.  Each
     color assigned is one node; it removes the colors within gap of it from
     the domain of every constrained unassigned position, and is a dead end
-    when one of those domains empties.  With propagate, every assignment is
-    followed by the forced ones: while some unassigned position has one
-    color left, the first such position in order takes it, as one more
-    node, until none is left or a domain empties.  Without it this is plain
-    forward checking.  Returns (witness, count, nodes) with colors listed
-    by position: with first the search stops at its first labeling, the
-    witness, else it counts every labeling and shows each to visitor.
-    Raises NodeCap on node max_nodes + 1.
+    when one of those domains empties.  below = (u, w) admits only
+    labelings with color(u) <= color(w): u at c removes the colors below c
+    from w's domain, w at c those above c from u's, as a gap would.  With
+    propagate, every assignment is followed by the forced ones: while some
+    unassigned position has one color left, the first such position in
+    order takes it, as one more node, until none is left or a domain
+    empties.  Without it this is plain forward checking.  With halve (a
+    count only) position 0 ignores top: it runs over the colors below k/2,
+    whose labelings count twice, then over k/2 alone when k is even, and
+    the nodes of both runs add up.  Returns (witness, count, nodes) with
+    colors listed by position: with first the search stops at its first
+    labeling, the witness, else it counts every labeling and shows each to
+    visitor.  Raises NodeCap on node max_nodes + 1.
     """
 
+    assert not (halve and (first or visitor))
     pos = {v: i for i, v in enumerate(order)}
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, gap in pairs:
         a, b = pos[u], pos[v]
         nbrs[a].append((b, gap))
         nbrs[b].append((a, gap))
+    lo, hi = (pos[below[0]], pos[below[1]]) if below else (None, None)
     colors = [0] * n
     tally = {"nodes": 0, "count": 0}
 
@@ -175,10 +184,15 @@ def forward_check(
                 doms[b] = {d for d in doms[b] if abs(d - c) >= gap}
                 if not doms[b]:
                     return False
+        for at, other, keep in ((lo, hi, lambda d: d >= c), (hi, lo, lambda d: d <= c)):
+            if a == at and other in free:
+                doms[other] = {d for d in doms[other] if keep(d)}
+                if not doms[other]:
+                    return False
         return True
 
-    def go(a: int, doms: list[set[int]], free: set[int]):
-        for c in sorted(doms[a]) if a else range(top + 1):
+    def go(a: int, doms: list[set[int]], free: set[int], colors0):
+        for c in sorted(doms[a]) if a else colors0:
             new, left = list(doms), set(free)
             alive = assign(a, c, new, left)
             while alive and propagate:
@@ -189,7 +203,7 @@ def forward_check(
             if not alive:
                 continue
             if left:
-                found = go(min(left), new, left)
+                found = go(min(left), new, left, colors0)
                 if found is not None:
                     return found
             elif first:
@@ -200,8 +214,17 @@ def forward_check(
                     visitor(tuple(colors))
         return None
 
-    witness = go(0, [set(range(k + 1)) for _ in range(n)], set(range(n)))
-    return witness, tally["count"], tally["nodes"]
+    def run(colors0):
+        return go(0, [set(range(k + 1)) for _ in range(n)], set(range(n)), colors0)
+
+    if not halve:
+        witness = run(range(top + 1))
+        return witness, tally["count"], tally["nodes"]
+    run(range((k + 1) // 2))
+    tally["count"] *= 2
+    if k % 2 == 0:
+        run([k // 2])
+    return None, tally["count"], tally["nodes"]
 
 
 def torus_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams):

@@ -109,9 +109,9 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
-    # the window lemma's two counts fit 1,400 nodes each but not together
+    # the window lemma's two counts fit 700 nodes each but not together
     code, _, err = run(
-        "lemmas", "--which", "strong-local", "--budget-nodes", "1400", capsys=capsys,
+        "lemmas", "--which", "strong-local", "--budget-nodes", "700", capsys=capsys,
     )
     assert code == 3
     assert "budget exhausted" in err
@@ -338,6 +338,11 @@ def test_verify_malformed_document(tmp_path, capsys):
         ("labels", [[2**63, 2, 4, 1, 3]]),
         ("p", 10**23),
         ("k", -(2**63) - 1),
+        # a product that names no ProductKind never reaches a shape
+        ("product", "tensor"),
+        ("product", "STRONG"),
+        ("product", ["strong"]),
+        ("product", None),
     ]:
         f.write_text(json.dumps({**doc, key: value}))
         code, _, err = run("verify", str(f), capsys=capsys)

@@ -3,10 +3,12 @@ import pytest
 
 from lpqcycles import (
     Digraph,
+    Pattern,
     ProductKind,
     ProductShape,
     conditions_for,
     grid,
+    lift_diagonal,
     oriented_cycle,
     oriented_path,
     product,
@@ -126,6 +128,16 @@ def test_kind_must_be_a_product_kind():
     ):
         with pytest.raises(KeyError):
             call()
+
+
+def test_shape_kind_must_be_a_product_kind():
+    """A shape refuses a kind given by its name, so no labeling carries one
+    into labeling_document, which reads kind.value."""
+    with pytest.raises(TypeError, match="ProductKind"):
+        ProductShape("strong", 6, 6, cyclic=True)
+    with pytest.raises(TypeError, match="ProductKind"):
+        lift_diagonal(Pattern((0, 2, 4), (2, 1)), "strong", 6, 6)
+    assert ProductShape(STRONG, 6, 6, cyclic=True).kind is STRONG
 
 
 def test_product_shapes():

@@ -105,14 +105,14 @@ def test_public_window_check_shares_the_dispatch_cache_entry():
 
 
 def test_window_lemma_spends_one_budget():
-    # each count fits 1,400 nodes alone (1,077 and 457), not both together;
+    # each count fits 700 nodes alone (591 and 259), not both together;
     # no counterexample search runs, as the identity holds
     g = grid(STRONG, 4, 4)
-    tight = SolveBudget(max_nodes=1400)
+    tight = SolveBudget(max_nodes=700)
     assert count_labelings(g, 6, budget=tight) == 180
     limits = solver._limits(tight)
     assert solver._search(_breaking(STRONG), 6, limits) == (None, 0)
-    assert limits.spent == 457
+    assert limits.spent == 259
     with pytest.raises(BudgetExhausted):
         verify_lemma_strong_local(budget=tight)
 
@@ -136,7 +136,7 @@ def test_cold_dispatch_spends_pinned_nodes_per_step(monkeypatch):
     lambda_numbers._least_word.cache_clear()
     res = lambda_strong(1000, 2000)
     assert (res.lo, res.hi) == (7, 7)
-    assert spent == [78, 76, 2_873, 1_032, 1_077, 457]
+    assert spent == [39, 38, 1_435, 1_032, 591, 259]
 
 
 def test_report_document_shape():

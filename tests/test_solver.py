@@ -64,7 +64,7 @@ class _Found(Exception):
 def first_enumerated(g, k, params=ConstraintParams(), keep=lambda colors: True):
     """The least labeling that keep accepts, or None, as the enumeration path
     emits it; enumeration breaks no symmetry, so this is an independent
-    check of the witness search's first-vertex rule."""
+    check of the witness search's first-vertex and reflection rules."""
 
     def visitor(colors):
         if keep(colors):
@@ -184,7 +184,8 @@ _SLOW_INFEASIBLE = {(3, 5), (5, 3), (4, 6)}
 @pytest.mark.parametrize("m", range(3, 7))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_torus_witness_matches_enumeration(kind, m, n):
-    # tori take the translation rule (vertex 0 tries color 0 only);
+    # tori take the translation rule (vertex 0 tries color 0 only) and the
+    # reflection rule (vertex 1 at most the color of the last in row 0);
     # enumeration uses no symmetry, so the least witness and None must agree
     g = torus(kind, m, n)
     value = _TORUS_LAMBDA[kind][m - 3][n - 3]
@@ -289,30 +290,30 @@ def test_node_budget_raises_with_node_count():
 
 
 def test_budget_covers_every_span_of_exact_lambda():
-    # the scan spends 46,639 nodes in all; no single span reaches 40,000
-    # (the largest, k = 7, takes 35,897 over both orders of the race)
+    # the scan spends 27,668 nodes in all; no single span reaches 20,000
+    # (the largest, k = 7, takes 16,981 over both orders of the race)
     g = torus(STRONG, 7, 8)
     with pytest.raises(BudgetExhausted):
-        exact_lambda(g, budget=SolveBudget(max_nodes=40_000))
+        exact_lambda(g, budget=SolveBudget(max_nodes=20_000))
     with pytest.raises(BudgetExhausted) as exc:
-        exact_lambda(g, budget=SolveBudget(max_nodes=46_638))
-    assert exc.value.nodes == 46_639
-    assert exact_lambda(g, budget=SolveBudget(max_nodes=46_639)).value == 8
+        exact_lambda(g, budget=SolveBudget(max_nodes=27_667))
+    assert exc.value.nodes == 27_668
+    assert exact_lambda(g, budget=SolveBudget(max_nodes=27_668)).value == 8
 
 
-@pytest.mark.parametrize("m,n,max_nodes", [(3, 9, 15_000), (6, 7, 13_000)])
+@pytest.mark.parametrize("m,n,max_nodes", [(3, 9, 15_000), (6, 7, 7_000)])
 def test_count_order_settles_infeasible_spans(m, n, max_nodes):
-    # id order alone spends 20,048 nodes on strong 3x9 and 16,469 on 6x7;
-    # the race proves span 7 infeasible in 217 and 8,464 (both orders'
-    # nodes), which brings the scans to 12,267 and 11,426
+    # id order alone spends 16,968 nodes on strong 3x9 and 9,763 on 6x7;
+    # the race proves span 7 infeasible in 144 and 2,052 (both orders'
+    # nodes), which brings the scans to 12,171 and 4,975
     res = exact_lambda(torus(STRONG, m, n), budget=SolveBudget(max_nodes=max_nodes))
     assert res.value == 8
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("max_nodes,expected", [(1_000, None), (1_400, 180)])
+@pytest.mark.parametrize("max_nodes,expected", [(500, None), (700, 180)])
 def test_workers_share_one_node_budget(workers, max_nodes, expected):
-    # the full count takes 1,077 nodes whatever workers says: it is a no-op
+    # the full count takes 591 nodes whatever workers says: it is a no-op
     g, budget = grid(STRONG, 4, 4), SolveBudget(max_nodes=max_nodes)
     if expected is None:
         with pytest.raises(BudgetExhausted):
@@ -361,9 +362,9 @@ def test_node_budget_bounds_memory_at_a_huge_span():
 
 @pytest.mark.parametrize("m,n,value", [(9, 9, 8), (4, 6, 10)])
 def test_exact_lambda_reaches_strong_tori_within_a_million_nodes(m, n, value):
-    # forced colors are assigned before branching: strong 9x9 takes 365,695
-    # nodes and 4x6 takes 467,971, where plain forward checking spent
-    # 8.22 M and 2.57 M
+    # forced colors are assigned before branching and witness searches
+    # take the reflection rule: strong 9x9 takes 318,981 nodes and 4x6
+    # takes 338,452, where plain forward checking spent 8.22 M and 2.57 M
     g = torus(STRONG, m, n)
     res = exact_lambda(g, budget=SolveBudget(max_nodes=1_000_000))
     assert res.value == value
@@ -563,15 +564,21 @@ def _differential_cases():
         length = rng.randint(5, 15)
         cases.append(pytest.param(functools.partial(_word, length, conditions), None,
                                   id=f"word-{length}-{''.join(map(str, conditions))}"))
+    # vertex 1 and its reflection share no pair in these two, so only the
+    # guard bit of the reflection rule marks the field it cuts as touched
+    cases.append(pytest.param(functools.partial(_word, 9, (2, 0, 0, 1)), None, id="word-9-2001"))
+    cases.append(pytest.param(
+        functools.partial(solver.compile_constraints, torus(CART, 3, 5), ConstraintParams(2, 0)),
+        None, id="torus-cartesian-3x5-p2q0"))
     return cases
 
 
-def _oracle(cons, order, k, top, first, visit, propagate=True):
+def _oracle(cons, order, k, top, first, visit, propagate=True, below=None, halve=False):
     seen = []
     try:
         witness, count, nodes = forward_check(
             cons.n_vertices, cons.pairs, order, k, top, first,
-            seen.append if visit else None, _DIFF_CAP, propagate)
+            seen.append if visit else None, _DIFF_CAP, propagate, below, halve)
     except NodeCap as cap:
         return "exhausted", cap.nodes, seen
     return (witness, count), nodes, seen
@@ -605,10 +612,12 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
     # same propagation of forced colors: same witness, count, visitor
     # sequence and node count (read from _Limits.spent) in id order and in
     # the count order, searching for a witness, counting and visiting, at
-    # spans lambda - 1 and lambda.  Propagation changes only the nodes
-    # spent: plain forward checking, which assigns every position in
-    # order, finds the same witness and count and visits the same
-    # sequence, up to where either side stops at the cap
+    # spans lambda - 1 and lambda.  A witness search on a transitive graph
+    # takes the reflection rule color(1) <= color(cons.mirror) in either
+    # order, and _search's counts take the reversal split.  Propagation
+    # changes only the nodes spent: plain forward checking, which assigns
+    # every position in order, finds the same witness and count and visits
+    # the same sequence, up to where either side stops at the cap
     cons = make()
     ident, counted = list(range(cons.n_vertices)), solver._count_order(cons)
     value = _least_span(cons) if value is None else value
@@ -620,16 +629,18 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
             for first, visit in ((True, False), (False, False), (False, True)):
                 counting = not first and not visit
                 top = (0 if cons.transitive else k // 2) if first else k
+                below = (1, cons.mirror) if first and cons.mirror is not None else None
+                rule = below and (order.index(below[0]), order.index(below[1]))
                 limits = solver._Limits(_DIFF_CAP)
 
                 def call(visitor):
                     run = solver._run(cons.n_vertices, fwd, k, (1 << (top + 1)) - 1,
-                                      first, visitor if visit else None)
+                                      first, visitor if visit else None, rule)
                     return solver._drive(run, limits)
 
-                want = _oracle(cons, order, k, top, first, visit)
+                want = _oracle(cons, order, k, top, first, visit, below=below)
                 assert _outcome(limits, call) == want, (k, order == ident, first, visit)
-                plain = _oracle(cons, order, k, top, first, visit, propagate=False)
+                plain = _oracle(cons, order, k, top, first, visit, False, below)
                 if "exhausted" not in (want[0], plain[0]):
                     assert plain[0] == want[0] and plain[2] == want[2]
                 else:
@@ -640,7 +651,8 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
                     limits = solver._Limits(_DIFF_CAP)
                     got = _outcome(limits, lambda visitor: solver._search(
                         cons, k, limits, first, visitor if visit else None))
-                    assert got == want
+                    assert got == _oracle(cons, order, k, top, first, visit,
+                                          below=below, halve=counting)
 
 
 def _merged(gaps, extra):
@@ -701,7 +713,9 @@ def _compile_cases():
 def test_compile_constraints_matches_its_definition(make, transitive):
     # pairs: the definition's pair -> gap map, sorted.  transitive: the row
     # and the column shift of the shape's torus (one row of n when there is
-    # none) map the pair -> gap map onto itself
+    # none) map the pair -> gap map onto itself.  mirror: where the point
+    # reflection v -> -v sends vertex 1, when transitive holds and that is
+    # another vertex; the reflection then keeps the pair -> gap map too
     cons, gaps = make()
     assert cons.pairs == tuple(sorted((u, v, gap) for (u, v), gap in gaps.items()))
     n, shape = cons.n_vertices, cons.shape
@@ -712,3 +726,12 @@ def test_compile_constraints_matches_its_definition(make, transitive):
     images = [{(min(f(u), f(v)), max(f(u), f(v))): gap for (u, v), gap in gaps.items()}
               for f in shifts]
     assert cons.transitive == all(image == gaps for image in images) == transitive
+
+    def negate(v):
+        i, j = divmod(v, cols)
+        return -i % (n // cols) * cols + -j % cols
+
+    if transitive:
+        assert {(min(negate(u), negate(v)), max(negate(u), negate(v))): gap
+                for (u, v), gap in gaps.items()} == gaps
+    assert cons.mirror == (negate(1) if transitive and negate(1) != 1 else None)
