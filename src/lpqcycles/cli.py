@@ -65,18 +65,18 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
     kind = ProductKind(args.product)
     fn = lambda_cartesian if kind is ProductKind.CARTESIAN else lambda_strong
     res = fn(args.m, args.n, solve=args.solve, budget=_budget(args))
-    if res.is_exact:
-        print(f"Exact {res.lo}")
-    else:
-        print(f"Interval {res.lo} {res.hi}")
-    print(f"certificate: {res.certificate.value}")
-    print(f"note: {res.note}")
     if args.out:
         if res.witness is not None:
             _write_doc(args.out, labeling_document(res.witness))
         else:
             check = f"lambda-{kind.value}-{args.m}x{args.n}-in-{res.lo}..{res.hi}"
             _write_doc(args.out, CheckReport(check, True, 0, None).to_document())
+    if res.is_exact:
+        print(f"Exact {res.lo}")
+    else:
+        print(f"Interval {res.lo} {res.hi}")
+    print(f"certificate: {res.certificate.value}")
+    print(f"note: {res.note}")
     return 0
 
 
@@ -89,9 +89,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.max_span is not None and f.k_budget > args.max_span:
         raise ValueError(f"construction needs span {f.k_budget} > limit {args.max_span}")
     doc = labeling_document(f, pattern=word.colors)
-    print(json.dumps(doc, indent=1) if args.format == "json" else _grid_text(f))
     if args.out:
         _write_doc(args.out, doc)
+    print(json.dumps(doc, indent=1) if args.format == "json" else _grid_text(f))
     return 0
 
 
@@ -123,11 +123,11 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         runs.append(verify_lemma_cartesian_local(span=args.span, budget=_budget(args)))
     if args.which in ("strong-local", "all"):
         runs.append(verify_lemma_strong_local(span=args.span, budget=_budget(args)))
-    for rep in runs:
-        print(f"{rep.check}: holds={str(rep.holds).lower()} labelings={rep.count}")
     if args.out:
         docs = [rep.to_document() for rep in runs]
         _write_doc(args.out, docs[0] if len(docs) == 1 else docs)
+    for rep in runs:
+        print(f"{rep.check}: holds={str(rep.holds).lower()} labelings={rep.count}")
     return 0 if all(rep.holds for rep in runs) else 1
 
 
@@ -143,11 +143,11 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
         for d in range(3, args.feasible_up_to + 1):
             if exists_cycle_pattern(d, span, conds) is not None:
                 feasible.append(d)
-        print("feasible lengths:", " ".join(map(str, feasible)) if feasible else "none")
         if args.out:
             check = f"pattern-span-{span}-feasible-lengths"
             report = CheckReport(check, bool(feasible), len(feasible), feasible)
             _write_doc(args.out, report.to_document())
+        print("feasible lengths:", " ".join(map(str, feasible)) if feasible else "none")
         return 0
 
     if args.length is None:
@@ -156,10 +156,10 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     if pat is None:
         print(f"no pattern of length {args.length} at span {span} for {conds}")
         return 1
-    print(" ".join(map(str, pat.colors)))
     if args.out:
         check = f"pattern-length-{args.length}-span-{span}"
         _write_doc(args.out, CheckReport(check, True, 1, list(pat.colors)).to_document())
+    print(" ".join(map(str, pat.colors)))
     return 0
 
 

@@ -31,7 +31,7 @@ from . import solver
 from .graphs import Digraph, ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
-from .solver import DEFAULT_BUDGET, SolveBudget, _compile_pairs, _limits, _search, exact_lambda
+from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search, exact_lambda
 
 
 class CertificateKind(Enum):
@@ -122,7 +122,7 @@ def _verify_local(kind: ProductKind, span: int, budget: SolveBudget) -> CheckRep
     g, u, v = _local_identity(kind)
     # the two counts, and the search for the least labeling that breaks the
     # identity (the counterexample) when there is one, spend one budget
-    limits = _limits(budget)
+    limits = _Limits(budget.max_nodes)
     # compiled through the module, where bench/spans.py times the call
     plain = solver.compile_constraints(g, DEFAULT_PARAMS)
     differ = _compile_pairs(g.n_vertices, g.shape, plain.pairs + ((u, v, 1),))

@@ -26,7 +26,7 @@ from math import gcd
 
 from .graphs import ProductKind, ProductShape
 from .labelings import DEFAULT_PARAMS, Labeling, _signed_stencil
-from .solver import DEFAULT_BUDGET, SolveBudget, _compile_pairs, _limits, _search
+from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def exists_cycle_pattern(
         for s in range(length)
     )
     cons = _compile_pairs(length, None, pairs)
-    word, _count = _search(cons, span, _limits(budget), first=True)
+    word, _count = _search(cons, span, _Limits(budget.max_nodes), first=True)
     if word is None:
         return None
     pat = Pattern(word, conditions)

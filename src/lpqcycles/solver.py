@@ -32,15 +32,15 @@ reflection v -> -v fixes vertex 0 and keeps every pair too, so vertex 1
 must also take at most the color of its image: the least witness does,
 as its reflection is a witness no smaller.  Elsewhere vertex 0 tries
 colors up to floor(k/2).  A count halves its work by the color reversal
-c -> k - c, which keeps every gap: vertex 0 runs over the colors below
-k/2, that count doubles, and even k adds the run at k/2.  Enumeration
-with a visitor breaks no symmetry.  The pair -> gap map, the translation
-check and the neighbour lists of both vertex orders are built once per
-public call; a search builds each color mask when it first tries it, so
-nothing is built ahead of the first node.  The search works on Python
-ints and tuples and imports no numpy: a witness comes out of _search as
-its color tuple, and exists_labeling and exact_lambda wrap it in a
-Labeling, whose colors are a numpy array.
+c -> k - c, which keeps every gap: vertex 0 runs over the colors up to
+k/2 in one search, and each labeling with vertex 0 below k/2 stands for
+two.  Enumeration with a visitor breaks no symmetry.  The pair -> gap
+map, the translation check and the neighbour lists of both vertex orders
+are built once per public call; a search builds each color mask when it
+first tries it, so nothing is built ahead of the first node.  The search
+works on Python ints and tuples and imports no numpy: a witness comes out
+of _search as its color tuple, and exists_labeling and exact_lambda wrap
+it in a Labeling, whose colors are a numpy array.
 """
 
 from __future__ import annotations
@@ -240,15 +240,11 @@ class _Limits:
     spent: int = 0
 
 
-def _limits(budget: SolveBudget) -> _Limits:
-    return _Limits(budget.max_nodes)
-
-
 # nodes a search spends between two budget polls, and the turn each search
 # of a race takes
 _SLICE = 4096
 
-_Run = Generator[int, int, tuple[tuple[int, ...] | None, int, int]]
+_Run = Generator[int, int, tuple[tuple[int, ...] | None, list[int], int]]
 
 
 def _run(
@@ -265,10 +261,12 @@ def _run(
 
     After a first next(), each value sent is the number of nodes the
     search may spend before it pauses.  It yields the nodes spent since
-    the last pause when it pauses, and at the end returns (witness, count,
+    the last pause when it pauses, and at the end returns (witness, split,
     nodes spent since the last pause): with first the witness is the first
-    labeling met or None, else None.  Each node makes one comparison
-    against the pause point.
+    labeling met or None, else None.  Position 0 tries the colors in
+    cand0, and split[c] counts the labelings met with it at color c, for
+    c up to the highest of them (none with first, which stops at its
+    witness).  Each node makes one comparison against the pause point.
 
     Every domain lives in one int.  Position p owns the k + 2 bits from
     (n_v - 1 - p) * (k + 2) on, so the lowest position holds the highest
@@ -295,10 +293,12 @@ def _run(
     other's guard bit, so forcing and wipeouts see the cut as they see a
     gap's.
 
-    Each assignment is followed by the forced ones: while an unassigned
-    position has one color left, the lowest such position takes it, as
-    one more node, until none is left or a domain empties.  Then the
-    lowest unassigned position branches over its colors, ascending.
+    One step assigns a color: it counts a node, fetches or builds the
+    mask, ANDs it in and tests the touched fields for a wipeout and for
+    positions left with one color.  A branch seeds it, and it runs again
+    for the forced positions: while one is left, the lowest takes its
+    color, until none is left or a domain empties.  Then the lowest
+    unassigned position branches over its colors, ascending.
     Branching positions rise along a path, so each keeps its own entry:
     the domains and the unassigned positions on entry, the colors still to
     try and the branching position before it.  Backtracking undoes
@@ -348,9 +348,9 @@ def _run(
     doms = [data] * n_v
     free = [guard >> width] * n_v
     cand = [0] * n_v
+    split = [0] * cand0.bit_length()
     nodes = 0
     stop = yield nodes
-    count = 0
     b = 0
     cand[0] = cand0
     while True:
@@ -358,53 +358,40 @@ def _run(
         if not m:
             b = back[b]
             if b < 0:
-                return None, count, nodes
+                return None, split, nodes
             continue
         low = m & -m
         cand[b] = m ^ low
-        c = low.bit_length() - 1
-        nodes += 1
-        if nodes >= stop:
-            stop = yield nodes
-            nodes = 0
-        try:
-            mask = masks[b][c]
-        except KeyError:
-            mask = build(b, c)
-        new = doms[b] & mask
-        left = free[b]
-        touched = mask & left
-        if touched:
-            less = new - ones
-            if less & guard:
-                continue
-            forced = (new & less) + data & touched ^ touched
-            while forced:
-                bits = forced.bit_length()
-                low = 1 << (bits - 1)
-                forced ^= low
-                left ^= low
-                pos = n_v - bits // width
-                f = colors[pos] = (new >> (bits - width) & full).bit_length() - 1
-                nodes += 1
-                if nodes >= stop:
-                    stop = yield nodes
-                    nodes = 0
-                try:
-                    mask = masks[pos][f]
-                except KeyError:
-                    mask = build(pos, f)
-                new &= mask
-                touched = mask & left
-                if touched:
-                    less = new - ones
-                    if less & guard:
-                        new = 0
-                        break
-                    forced |= (new & less) + data & touched ^ touched
-            if not new:
-                continue
-        colors[b] = c
+        pos, c = b, low.bit_length() - 1
+        new, left, forced = doms[b], free[b], 0
+        while True:  # assign c to pos, then each forced color in turn
+            colors[pos] = c
+            nodes += 1
+            if nodes >= stop:
+                stop = yield nodes
+                nodes = 0
+            try:
+                mask = masks[pos][c]
+            except KeyError:
+                mask = build(pos, c)
+            new &= mask
+            touched = mask & left
+            if touched:
+                less = new - ones
+                if less & guard:
+                    new = 0
+                    break
+                forced |= (new & less) + data & touched ^ touched
+            if not forced:
+                break
+            bits = forced.bit_length()
+            low = 1 << (bits - 1)
+            forced ^= low
+            left ^= low
+            pos = n_v - bits // width
+            c = (new >> (bits - width) & full).bit_length() - 1
+        if not new:
+            continue
         if left:
             bits = left.bit_length()
             nxt = n_v - bits // width
@@ -415,15 +402,15 @@ def _run(
             cand[b] = new >> (bits - width) & full
             continue
         if first:
-            return tuple(colors), count, nodes
-        count += 1
+            return tuple(colors), split, nodes
+        split[colors[0]] += 1
         if visitor is not None:
             visitor(tuple(colors))
 
 
-def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] | None:
+def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, list[int]] | None:
     """Resume run for one slice and charge its nodes to limits.  Returns
-    its (witness, count) when the search ends, else None.
+    its (witness, split) when the search ends, else None.
 
     The slice ends at the node past max_nodes if that comes first, so
     exhaustion raises there, with exactly max_nodes + 1 nodes spent.
@@ -432,9 +419,9 @@ def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] |
     try:
         limits.spent += run.send(min(_SLICE, limits.max_nodes + 1 - limits.spent))
     except StopIteration as end:
-        witness, count, spent = end.value
+        witness, split, spent = end.value
         limits.spent += spent
-        return witness, count
+        return witness, split
     if limits.spent > limits.max_nodes:
         raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
     return None
@@ -442,8 +429,8 @@ def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, int] |
 
 def _drive(
     run: _Run, limits: _Limits, rival: _Run | None = None
-) -> tuple[tuple[int, ...] | None, int]:
-    """Advance run to its end under limits and return its (witness, count).
+) -> tuple[tuple[int, ...] | None, list[int]]:
+    """Advance run to its end under limits and return its (witness, split).
 
     A rival is a witness search over the same span in another vertex
     order.  It takes a slice before each of run's, both spend the one
@@ -501,25 +488,21 @@ def _search(
     Without first or visitor the search counts, in count_order, and returns
     no witness.  The map c -> k - c pairs the labelings whose first vertex
     takes c with those where it takes k - c, so the count runs the first
-    vertex over the colors below k/2 and doubles, then adds a run at k/2
-    for even k.  Every search runs in the calling process.  Returns
-    (witness, count), where the witness is the least labeling's color
-    tuple, or None when there is none or the search did not look for one,
-    and charges the nodes spent to limits.  The public callers wrap a
-    witness in a Labeling; the word search reads the tuple as it is.
+    vertex over the colors up to k/2, reads the labelings found at each
+    color (_run's split), and doubles all but those at k/2 when k is even.
+    Every call drives one _run, plus a race's rival, in the calling
+    process.  Returns (witness, count), where the witness is the least
+    labeling's color tuple, or None when there is none or the search did
+    not look for one, and charges the nodes spent to limits.  The public
+    callers wrap a witness in a Labeling; the word search reads the tuple
+    as it is.
     """
 
     if k < 0:
         raise ValueError("k must be nonnegative")
     n_v = cons.n_vertices
-    if not first and visitor is None:
-        half = (k + 1) // 2  # the colors below k/2
-        low = _drive(_run(n_v, cons.count_forward, k, (1 << half) - 1, False), limits)[1]
-        if k % 2:
-            return None, 2 * low
-        mid = _drive(_run(n_v, cons.count_forward, k, 1 << half, False), limits)[1]
-        return None, 2 * low + mid
-    top = (0 if cons.transitive else k // 2) if first else k
+    counting = not first and visitor is None
+    top = 0 if first and cons.transitive else k // 2 if first or counting else k
     cand0 = (1 << (top + 1)) - 1
     rule = (1, cons.mirror) if first and cons.mirror is not None else None
     rival = None
@@ -527,7 +510,11 @@ def _search(
         order = cons.count_order
         rival = _run(n_v, cons.count_forward, k, cand0, True,
                      rule=rule and (order.index(rule[0]), order.index(rule[1])))
-    return _drive(_run(n_v, cons.id_forward, k, cand0, first, visitor, rule), limits, rival)
+    fwd = cons.count_forward if counting else cons.id_forward
+    witness, split = _drive(_run(n_v, fwd, k, cand0, first, visitor, rule), limits, rival)
+    if not counting:
+        return witness, sum(split)
+    return None, 2 * sum(split) - (0 if k % 2 else split[k // 2])
 
 
 def exists_labeling(
@@ -549,7 +536,7 @@ def exists_labeling(
     c -> k - c keeps every separation.
     """
 
-    limits = _limits(budget)
+    limits = _Limits(budget.max_nodes)
     cons = compile_constraints(g, params)
     witness, _count = _search(cons, k, limits, first=True)
     return None if witness is None else Labeling(witness, k, cons.shape)
@@ -581,7 +568,7 @@ def exact_lambda(
     answers whether the span is at most k.
     """
 
-    limits = _limits(budget)
+    limits = _Limits(budget.max_nodes)
     cons = compile_constraints(g, params)
     k = 0
     while True:
@@ -607,7 +594,7 @@ def enumerate_labelings(
     count, run as count_labelings runs it.
     """
 
-    limits = _limits(budget)
+    limits = _Limits(budget.max_nodes)
     _witness, count = _search(compile_constraints(g, params), k, limits, visitor=visitor)
     return count
 
@@ -626,10 +613,10 @@ def count_labelings(
     already placed, which spends about half the nodes on the strong window
     grid at spans 6 and 7.  The color reversal c -> k - c keeps every gap
     and pairs each labeling whose vertex 0 takes c with one where it takes
-    k - c, so vertex 0 runs over the colors below k/2 and that count
-    doubles; for even k one more run, under the same budget, adds the
-    labelings with vertex 0 at k/2.  That halves the nodes again.  Every
-    count runs in the calling process.
+    k - c, so one search runs vertex 0 over the colors up to k/2 and
+    counts the labelings with vertex 0 below k/2 twice, those at k/2
+    (even k) once.  That halves the nodes again.  Every count runs in the
+    calling process.
     workers is a no-op: it must be at least 1 and changes nothing.  It
     stays only because bench/ still passes it, and goes with the bench
     edits of ROADMAP item 1.
@@ -637,6 +624,6 @@ def count_labelings(
 
     if workers < 1:
         raise ValueError("workers must be positive")
-    limits = _limits(budget)
+    limits = _Limits(budget.max_nodes)
     _witness, count = _search(compile_constraints(g, params), k, limits)
     return count

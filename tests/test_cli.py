@@ -313,6 +313,22 @@ def test_memory_error_without_a_message_still_says_what(capsys, monkeypatch):
     assert (code, text, err) == (2, "", "error: out of memory\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--product", "cartesian", "--m", "40", "--n", "40"),
+    ("construct", "--product", "cartesian", "--m", "42", "--n", "42"),
+    ("lemmas", "--which", "cartesian-local"),
+    ("pattern", "--length", "5"),
+], ids=["lambda", "construct", "lemmas", "pattern"])
+def test_unwritable_out_prints_nothing(tmp_path, capsys, argv):
+    # the document is written before anything is printed, so a run whose
+    # --out cannot be opened leaves stdout empty
+    out = tmp_path / "missing" / "x.json"
+    code, text, err = run(*argv, "--out", str(out), capsys=capsys)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ")
+    assert not out.parent.exists()
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run("verify", "/nonexistent/x.json", capsys=capsys)
     assert code == 2 and err.startswith("error:")

@@ -91,7 +91,7 @@ def test_counterexample_is_the_least_breaking_labeling():
     ]:
         rep = verify(span=k)
         assert not rep.holds
-        least, _count = solver._search(_breaking(kind), k, solver._limits(SolveBudget()),
+        least, _count = solver._search(_breaking(kind), k, solver._Limits(SolveBudget().max_nodes),
                                        first=True)
         assert rep.witness.as_tuple() == least
 
@@ -110,7 +110,7 @@ def test_window_lemma_spends_one_budget():
     g = grid(STRONG, 4, 4)
     tight = SolveBudget(max_nodes=700)
     assert count_labelings(g, 6, budget=tight) == 180
-    limits = solver._limits(tight)
+    limits = solver._Limits(tight.max_nodes)
     assert solver._search(_breaking(STRONG), 6, limits) == (None, 0)
     assert limits.spent == 259
     with pytest.raises(BudgetExhausted):

@@ -96,7 +96,7 @@ def with_pairs(g, extra):
 
 def search(cons, k, first=False):
     """solver._search's (witness, count) under the default budget."""
-    return solver._search(cons, k, solver._limits(SolveBudget()), first=first)
+    return solver._search(cons, k, solver._Limits(SolveBudget().max_nodes), first=first)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -486,7 +486,7 @@ def test_count_returns_the_least_labeling(case, workers):
     if not extra:
         assert count_labelings(g, k, workers=workers) == count
     cons = with_pairs(g, extra)
-    limits = solver._limits(SolveBudget())
+    limits = solver._Limits(SolveBudget().max_nodes)
     assert solver._search(cons, k, limits) == (None, count)
     witness, _count = solver._search(cons, k, limits, first=True)
     assert witness == least
@@ -496,6 +496,20 @@ def test_strong_grid_counts_against_dp_oracle():
     g = grid(STRONG, 4, 4)
     for k in (5, 6, 7):
         assert count_labelings(g, k) == dp_count_strong_grid4(k)
+
+
+@pytest.mark.parametrize("kind,side,k,count,nodes", [
+    (CART, 3, 4, 44, 124), (CART, 3, 5, 1088, 1426),
+    (STRONG, 4, 6, 180, 591), (STRONG, 4, 7, 29444, 31496),
+])
+def test_window_counts_spend_pinned_nodes(kind, side, k, count, nodes):
+    # the window grids' counts, one _Limits around each: one search runs
+    # vertex 0 over the colors up to k/2, and the reversal counts the
+    # labelings with vertex 0 below k/2 twice
+    cons = solver.compile_constraints(grid(kind, side, side), ConstraintParams())
+    limits = solver._Limits(SolveBudget().max_nodes)
+    assert solver._search(cons, k, limits) == (None, count)
+    assert limits.spent == nodes
 
 
 def test_enumeration_never_breaks_symmetry():
@@ -614,7 +628,9 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
     # the count order, searching for a witness, counting and visiting, at
     # spans lambda - 1 and lambda.  A witness search on a transitive graph
     # takes the reflection rule color(1) <= color(cons.mirror) in either
-    # order, and _search's counts take the reversal split.  Propagation
+    # order.  _run splits its labelings by the color of position 0, whose
+    # sum is the oracle's count; _search's counts apply the reversal to
+    # that split and match the oracle's halved count.  Propagation
     # changes only the nodes spent: plain forward checking, which assigns
     # every position in order, finds the same witness and count and visits
     # the same sequence, up to where either side stops at the cap
@@ -632,14 +648,20 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
                 below = (1, cons.mirror) if first and cons.mirror is not None else None
                 rule = below and (order.index(below[0]), order.index(below[1]))
                 limits = solver._Limits(_DIFF_CAP)
+                splits = []
 
                 def call(visitor):
                     run = solver._run(cons.n_vertices, fwd, k, (1 << (top + 1)) - 1,
                                       first, visitor if visit else None, rule)
-                    return solver._drive(run, limits)
+                    witness, split = solver._drive(run, limits)
+                    splits.append(split)
+                    return witness, sum(split)
 
                 want = _oracle(cons, order, k, top, first, visit, below=below)
                 assert _outcome(limits, call) == want, (k, order == ident, first, visit)
+                if visit and want[0] != "exhausted":
+                    # the split tallies the labelings by the color of position 0
+                    assert splits == [[sum(s[0] == c for s in want[2]) for c in range(top + 1)]]
                 plain = _oracle(cons, order, k, top, first, visit, False, below)
                 if "exhausted" not in (want[0], plain[0]):
                     assert plain[0] == want[0] and plain[2] == want[2]
