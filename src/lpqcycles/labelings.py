@@ -187,6 +187,8 @@ def torus_violations(
     5, up to a side - 1 on smaller tori), and compared with one view of
     that buffer per offset.  A grid with no violated offset returns []
     before any pair is listed; the result equals validate's on the torus.
+    Colors must be below 2**62 in size, so that every difference fits
+    int64; others raise ValueError.
     """
 
     import numpy as np
@@ -195,10 +197,15 @@ def torus_violations(
     m, n = grid.shape
     if m < 3 or n < 3:
         raise ValueError(f"a torus needs both sides >= 3, got {m}x{n}")
-    dtype = grid.dtype
-    if -(2**14) < grid.min() and grid.max() < 2**14:
-        # every difference fits int16, which moves a quarter of int64's bytes
+    # differences are taken in a signed dtype every one of them fits, so an
+    # unsigned grid never wraps around; int16 moves a quarter of int64's bytes
+    lo, hi = int(grid.min()), int(grid.max())
+    if -(2**14) < lo and hi < 2**14:
         dtype = np.int16
+    elif -(2**62) < lo and hi < 2**62:
+        dtype = np.int64
+    else:
+        raise ValueError(f"colors must lie within +-2**62 for exact differences, got {lo}..{hi}")
     stencil = _stencil(kind, m, n, params)
     pad_i = max(di for (di, _), _ in stencil)
     pad_j = max(dj for (_, dj), _ in stencil)

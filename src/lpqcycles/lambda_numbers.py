@@ -28,7 +28,7 @@ from functools import cache
 from math import gcd
 
 from . import solver
-from .graphs import Digraph, ProductKind, grid, torus
+from .graphs import ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
 from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
 from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search, exact_lambda
@@ -94,22 +94,16 @@ _DICHOTOMY = {
     ProductKind.STRONG: (48, 6, 8, 42),
 }
 
-
-@cache
-def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
-    """The path grid and identity vertex pair for a product kind.
-
-    The identity is the one equation whose universal validity on the small
-    grid forces every torus labeling at that span to be diagonal: each cell
-    of a torus sits in such a window, and the window equation rewritten at
-    all positions is exactly f(i, j) = f(i+1 mod m, j-1 mod n).
-    """
-
-    if kind is ProductKind.CARTESIAN:
-        g = grid(kind, 3, 3)
-        return g, g.shape.vertex_id(1, 1), g.shape.vertex_id(0, 2)
-    g = grid(kind, 4, 4)
-    return g, g.shape.vertex_id(1, 2), g.shape.vertex_id(2, 1)
+# per product kind: the side of the square path grid the window lemma
+# checks, and the two cells (i, j) of its identity f(a) = f(b).  The
+# identity holding on every labeling of the grid at the window span forces
+# every torus labeling at that span to be diagonal: each cell of a torus
+# sits in such a window, and the window equation rewritten at all
+# positions is exactly f(i, j) = f(i+1 mod m, j-1 mod n).
+_WINDOW = {
+    ProductKind.CARTESIAN: (3, (1, 1), (0, 2)),
+    ProductKind.STRONG: (4, (1, 2), (2, 1)),
+}
 
 
 # cached per process: these enumerations back every dichotomy dispatch.
@@ -119,7 +113,9 @@ def _local_identity(kind: ProductKind) -> tuple[Digraph, int, int]:
 # share the dispatch's entries.
 @cache
 def _verify_local(kind: ProductKind, span: int, budget: SolveBudget) -> CheckReport:
-    g, u, v = _local_identity(kind)
+    side, a, b = _WINDOW[kind]
+    g = grid(kind, side, side)
+    u, v = g.shape.vertex_id(*a), g.shape.vertex_id(*b)
     # the two counts, and the search for the least labeling that breaks the
     # identity (the counterexample) when there is one, spend one budget
     limits = _Limits(budget.max_nodes)
@@ -232,6 +228,9 @@ def _dichotomy(
                 f"pass solve=True to run the exact solver on C_{m} x C_{n}"
             )
         res = exact_lambda(torus(kind, m, n), budget=budget)
+        bad = torus_violations(kind, res.witness.color_grid())
+        if bad:
+            raise RuntimeError(f"solver witness fails validation: {bad[0]}")
         return LambdaResult(
             res.value,
             res.value,
@@ -246,8 +245,8 @@ def _dichotomy(
         raise RuntimeError(f"grid floor below {span}: the window has span-{span - 1} labelings")
     _word, f = construction(kind, m, n, budget) or (None, None)
     if f is not None and f.k_budget <= span:
-        window = _local_identity(kind)[0].shape
-        lo, lower = span, f"lower bound {span} from the {window.rows} x {window.cols} grid"
+        side = _WINDOW[kind][0]
+        lo, lower = span, f"lower bound {span} from the {side} x {side} grid"
     else:
         lemma = _verify_local(kind, span, budget)
         if not lemma.holds:

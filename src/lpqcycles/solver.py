@@ -12,35 +12,41 @@ placed (_count_order), which prunes dead ends sooner, and return no
 labeling.  On each span it tries, exact_lambda races a witness search in
 that order against the id-order one: the count order proves most
 infeasible spans far sooner, and the witness is always the id-order
-search's.  Work is metered in search nodes (one node per attempted color
+search's.
+
+Work is metered in search nodes (one node per attempted color
 assignment, forced ones included) and in nothing else: the solver reads
-no clock, so whether a budget runs out depends only on the input.
-Exhausting the budget raises BudgetExhausted, a third outcome distinct
-from "no labeling".  The backtracker (_run) is a generator that pauses
-every 4096 nodes, and _drive resumes it, polls the budget at each pause
-and takes the two searches of a race in turn; every search runs in the
-calling process.  A budget limits a whole public call: every span
-exact_lambda tries and both searches of a race draw on the same nodes.
+no clock, so whether a budget runs out depends only on the input.  A
+budget limits a whole public call: every span exact_lambda tries and
+both searches of a race draw on the same _Limits.  The backtracker
+(_run) charges its own nodes to them every 4096 nodes and when it ends,
+and raises BudgetExhausted at the node past the cap, a third outcome
+distinct from "no labeling".  It pauses after each charge, and _drive
+resumes it, giving the two searches of a race turns; every search runs
+in the calling process.
 
 Searches skip labelings that a symmetry of the constraints carries onto
-another one they keep, by rules that keep the least witness.  A witness
-search on a graph whose constrained pairs translations preserve (tori,
-cyclic words, oriented cycles) lets vertex 0 try color 0 alone: shifting
-a labeling down to least color 0 keeps every gap, and translating a
-vertex of color 0 onto vertex 0 keeps it valid.  There the point
-reflection v -> -v fixes vertex 0 and keeps every pair too, so vertex 1
-must also take at most the color of its image: the least witness does,
-as its reflection is a witness no smaller.  Elsewhere vertex 0 tries
-colors up to floor(k/2).  A count halves its work by the color reversal
-c -> k - c, which keeps every gap: vertex 0 runs over the colors up to
-k/2 in one search, and each labeling with vertex 0 below k/2 stands for
-two.  Enumeration with a visitor breaks no symmetry.  The pair -> gap
-map, the translation check and the neighbour lists of both vertex orders
-are built once per public call; a search builds each color mask when it
-first tries it, so nothing is built ahead of the first node.  The search
-works on Python ints and tuples and imports no numpy: a witness comes out
-of _search as its color tuple, and exists_labeling and exact_lambda wrap
-it in a Labeling, whose colors are a numpy array.
+another one they keep, by rules that keep the least witness, so a
+witness search still meets the least witness first.  A witness search on
+a graph whose constrained pairs translations preserve (tori, cyclic
+words, oriented cycles) lets vertex 0 try color 0 alone: shifting a
+labeling down to least color 0 keeps every gap, and translating a vertex
+of color 0 onto vertex 0 keeps it valid.  There the point reflection
+N: v -> -v fixes vertex 0 and keeps every pair too, so vertex 1 must
+also take at most the color of N(1): the least witness w does, since w
+after N is a witness that agrees with w at vertex 0 and has w(N(1)) at
+vertex 1, and is no smaller.  Elsewhere vertex 0 tries colors up to
+floor(k/2), since c -> k - c carries a witness starting above that to a
+smaller one.  A count halves its work by the same color reversal, which
+keeps every gap: vertex 0 runs over the colors up to k/2 in one search,
+and each labeling with vertex 0 below k/2 stands for two.  Enumeration
+with a visitor breaks no symmetry.  The pair -> gap map, the translation
+check and the neighbour lists of both vertex orders are built once per
+public call; a search builds each color mask when it first tries it, so
+nothing is built ahead of the first node.  The search works on Python
+ints and tuples and imports no numpy: a witness comes out of _search as
+its color tuple, and exists_labeling and exact_lambda wrap it in a
+Labeling, whose colors are a numpy array.
 """
 
 from __future__ import annotations
@@ -240,11 +246,11 @@ class _Limits:
     spent: int = 0
 
 
-# nodes a search spends between two budget polls, and the turn each search
-# of a race takes
+# nodes a search spends between two charges to its limits, and the turn
+# each search of a race takes
 _SLICE = 4096
 
-_Run = Generator[int, int, tuple[tuple[int, ...] | None, list[int], int]]
+_Run = Generator[None, None, tuple[tuple[int, ...] | None, list[int]]]
 
 
 def _run(
@@ -253,20 +259,26 @@ def _run(
     k: int,
     cand0: int,
     first: bool,
+    limits: _Limits,
     visitor: Callable[[tuple[int, ...]], None] | None = None,
     rule: tuple[int, int] | None = None,
 ) -> _Run:
     """Backtracking core over positions 0..n_v-1, as a generator that
-    _drive resumes one slice at a time.
+    charges its own nodes to limits.
 
-    After a first next(), each value sent is the number of nodes the
-    search may spend before it pauses.  It yields the nodes spent since
-    the last pause when it pauses, and at the end returns (witness, split,
-    nodes spent since the last pause): with first the witness is the first
-    labeling met or None, else None.  Position 0 tries the colors in
-    cand0, and split[c] counts the labelings met with it at color c, for
-    c up to the highest of them (none with first, which stops at its
-    witness).  Each node makes one comparison against the pause point.
+    It pauses with a bare yield once it has spent 4096 nodes (_SLICE)
+    since it started or last resumed, or sooner at the node past
+    limits.max_nodes.  At each pause it adds those nodes to limits.spent
+    and raises BudgetExhausted if they pass the cap, so exhaustion comes
+    with exactly max_nodes + 1 nodes spent.  The pause point is worked
+    out from limits when it starts and again each time it resumes, since
+    the other search of a race charges the same limits in between.  When
+    the search ends it charges the rest and returns (witness, split):
+    with first the witness is the first labeling met or None, else None.
+    Position 0 tries the colors in cand0, and split[c] counts the
+    labelings met with it at color c, for c up to the highest of them
+    (none with first, which stops at its witness).  Each node makes one
+    comparison against the pause point.
 
     Every domain lives in one int.  Position p owns the k + 2 bits from
     (n_v - 1 - p) * (k + 2) on, so the lowest position holds the highest
@@ -350,7 +362,8 @@ def _run(
     cand = [0] * n_v
     split = [0] * cand0.bit_length()
     nodes = 0
-    stop = yield nodes
+    stop = min(_SLICE, limits.max_nodes + 1 - limits.spent)
+    witness = None
     b = 0
     cand[0] = cand0
     while True:
@@ -358,7 +371,7 @@ def _run(
         if not m:
             b = back[b]
             if b < 0:
-                return None, split, nodes
+                break
             continue
         low = m & -m
         cand[b] = m ^ low
@@ -368,8 +381,13 @@ def _run(
             colors[pos] = c
             nodes += 1
             if nodes >= stop:
-                stop = yield nodes
+                limits.spent += nodes
                 nodes = 0
+                if limits.spent > limits.max_nodes:
+                    raise BudgetExhausted(
+                        f"node budget of {limits.max_nodes} exhausted", limits.spent)
+                yield
+                stop = min(_SLICE, limits.max_nodes + 1 - limits.spent)
             try:
                 mask = masks[pos][c]
             except KeyError:
@@ -402,57 +420,38 @@ def _run(
             cand[b] = new >> (bits - width) & full
             continue
         if first:
-            return tuple(colors), split, nodes
+            witness = tuple(colors)
+            break
         split[colors[0]] += 1
         if visitor is not None:
             visitor(tuple(colors))
+    limits.spent += nodes
+    return witness, split
 
 
-def _advance(run: _Run, limits: _Limits) -> tuple[tuple[int, ...] | None, list[int]] | None:
-    """Resume run for one slice and charge its nodes to limits.  Returns
-    its (witness, split) when the search ends, else None.
-
-    The slice ends at the node past max_nodes if that comes first, so
-    exhaustion raises there, with exactly max_nodes + 1 nodes spent.
-    """
-
-    try:
-        limits.spent += run.send(min(_SLICE, limits.max_nodes + 1 - limits.spent))
-    except StopIteration as end:
-        witness, split, spent = end.value
-        limits.spent += spent
-        return witness, split
-    if limits.spent > limits.max_nodes:
-        raise BudgetExhausted(f"node budget of {limits.max_nodes} exhausted", limits.spent)
-    return None
-
-
-def _drive(
-    run: _Run, limits: _Limits, rival: _Run | None = None
-) -> tuple[tuple[int, ...] | None, list[int]]:
-    """Advance run to its end under limits and return its (witness, split).
+def _drive(run: _Run, rival: _Run | None = None) -> tuple[tuple[int, ...] | None, list[int]]:
+    """Resume run, and a rival before each of its turns, until run ends;
+    return its (witness, split).
 
     A rival is a witness search over the same span in another vertex
-    order.  It takes a slice before each of run's, both spend the one
-    budget, and the span goes to whichever settles it first: a rival that
-    ends with no witness proves that the span has none; one that ends with
-    a witness shows that run will find one too, so run goes on alone to
-    its own, the least.
+    order, charging the same limits.  The span goes to whichever search
+    settles it first: a rival that ends with no witness proves that the
+    span has none; one that ends with a witness shows that run will find
+    one too, so run goes on alone to its own, the least.
     """
 
-    next(run)
-    if rival is not None:
-        next(rival)
     while True:
         if rival is not None:
-            end = _advance(rival, limits)
-            if end is not None:
-                if end[0] is None:
-                    return end
+            try:
+                next(rival)
+            except StopIteration as end:
+                if end.value[0] is None:
+                    return end.value
                 rival = None
-        end = _advance(run, limits)
-        if end is not None:
-            return end
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
 
 
 def _search(
@@ -465,37 +464,25 @@ def _search(
 ) -> tuple[tuple[int, ...] | None, int]:
     """The one search behind every public entry point.
 
-    With first the search stops at the least witness.  The rules below
-    skip labelings, never the least witness, so that is still the first
-    labeling met.  When cons.transitive holds (tori, cyclic words,
-    oriented cycles) the first vertex tries color 0 alone: shifting a
-    labeling down to least color 0 keeps every gap, and a translation
-    carries a vertex of color 0 onto vertex 0.  There vertex 1 must also
-    take at most the color of N(1) = cons.mirror, the image of 1 under the
-    point reflection N: v -> -v, which fixes vertex 0 and keeps every pair.
-    The least witness w keeps that rule, since w after N is a witness too,
-    agrees with w at vertex 0 and has w(N(1)) at vertex 1, so
-    w(1) <= w(N(1)).  Otherwise the first vertex tries colors up to
-    floor(k/2): the map c -> k - c carries a witness starting above that
-    to a smaller one.  Witness searches and visitor enumeration branch on
-    vertices in id order, and a vertex forced to its one color never
-    branches, so the first labeling met is the least and a visitor sees
-    every labeling in lexicographic order; enumeration breaks no symmetry.
-    A witness search with race races one in the count order where that is
+    With first the search stops at the least witness, under the symmetry
+    rules of the module docstring: vertex 0 tries color 0 alone when
+    cons.transitive holds, and then vertex 1 takes at most the color of
+    cons.mirror; otherwise vertex 0 tries colors up to floor(k/2).
+    Witness searches and visitor enumeration branch on vertices in id
+    order, so the first labeling met is the least and a visitor sees every
+    labeling in lexicographic order; enumeration breaks no symmetry.  A
+    witness search with race races one in the count order where that is
     not id order (see _drive), under the same rules: either search finds a
     witness exactly when the span has one.
 
     Without first or visitor the search counts, in count_order, and returns
-    no witness.  The map c -> k - c pairs the labelings whose first vertex
-    takes c with those where it takes k - c, so the count runs the first
-    vertex over the colors up to k/2, reads the labelings found at each
-    color (_run's split), and doubles all but those at k/2 when k is even.
+    no witness: vertex 0 runs over the colors up to k/2, and the count
+    doubles all labelings of _run's split but those at k/2 when k is even.
     Every call drives one _run, plus a race's rival, in the calling
-    process.  Returns (witness, count), where the witness is the least
-    labeling's color tuple, or None when there is none or the search did
-    not look for one, and charges the nodes spent to limits.  The public
-    callers wrap a witness in a Labeling; the word search reads the tuple
-    as it is.
+    process, and both charge limits.  Returns (witness, count), where the
+    witness is the least labeling's color tuple, or None when there is none
+    or the search did not look for one.  The public callers wrap a witness
+    in a Labeling; the word search reads the tuple as it is.
     """
 
     if k < 0:
@@ -508,10 +495,10 @@ def _search(
     rival = None
     if race and cons.count_forward is not cons.id_forward:
         order = cons.count_order
-        rival = _run(n_v, cons.count_forward, k, cand0, True,
+        rival = _run(n_v, cons.count_forward, k, cand0, True, limits,
                      rule=rule and (order.index(rule[0]), order.index(rule[1])))
     fwd = cons.count_forward if counting else cons.id_forward
-    witness, split = _drive(_run(n_v, fwd, k, cand0, first, visitor, rule), limits, rival)
+    witness, split = _drive(_run(n_v, fwd, k, cand0, first, limits, visitor, rule), rival)
     if not counting:
         return witness, sum(split)
     return None, 2 * sum(split) - (0 if k % 2 else split[k // 2])
@@ -525,15 +512,9 @@ def exists_labeling(
 ) -> Labeling | None:
     """Lexicographically least k-L(p,q)-labeling of g, or None.
 
-    The first vertex only tries colors the least witness can start with.
-    Where translations keep every constrained pair (tori, oriented cycles)
-    that is 0 alone: shift a labeling down to least color 0, then
-    translate a vertex of color 0 onto vertex 0.  There vertex 1 also takes
-    at most the color of its image under the point reflection v -> -v,
-    which keeps every pair and fixes vertex 0, so it carries the least
-    witness to one no smaller, and the least witness keeps the rule.
-    Elsewhere the first vertex tries colors up to floor(k/2), since
-    c -> k - c keeps every separation.
+    The search skips only labelings that a symmetry of g's constraints
+    carries onto a smaller one (see the module docstring), so it meets the
+    least witness first.
     """
 
     limits = _Limits(budget.max_nodes)
@@ -552,20 +533,15 @@ def exact_lambda(
     Tries k = 0, 1, 2, ..., all under one budget: the nodes spent on every
     span count against it.  The constraints and the count order
     (see count_labelings) are built once for the whole scan.  Each span
-    runs exists_labeling's id-order search and a witness search in the
-    count order in turn, 4096 nodes at a time, the count order first, both
-    under exists_labeling's rules (on tori vertex 0 takes color 0 and
-    vertex 1 at most the color of its reflection), which keep the least
-    witness and so every witness and None.  A count-order search that
-    ends with no witness moves the scan on to the next span; one that ends
-    with a witness leaves the id-order search to run on alone to the least
-    witness; an id-order search that ends first settles the span.  The
-    count order proves most infeasible spans far sooner, and a span costs
-    at most twice the id-order nodes plus one slice of 4096.  Where the
-    count order is id order (Cartesian tori) there is one search.  Every
-    graph has a labeling at span (n - 1) * max(p, q) (color vertex i with
-    i * max(p, q)), so the scan ends by that span; exists_labeling(g, k)
-    answers whether the span is at most k.
+    races exists_labeling's id-order search against a witness search in
+    the count order, under the same symmetry rules (see _drive): the count
+    order proves most infeasible spans far sooner, the witness is always
+    the id-order search's, and a span costs at most twice the id-order
+    nodes plus one slice of 4096.  Where the count order is id order
+    (Cartesian tori) there is one search.  Every graph has a labeling at
+    span (n - 1) * max(p, q) (color vertex i with i * max(p, q)), so the
+    scan ends by that span; exists_labeling(g, k) answers whether the span
+    is at most k.
     """
 
     limits = _Limits(budget.max_nodes)
@@ -611,12 +587,9 @@ def count_labelings(
     A count does not branch on vertices in id order: vertex 0 comes first,
     then greedily the vertex with the most constrained pairs to those
     already placed, which spends about half the nodes on the strong window
-    grid at spans 6 and 7.  The color reversal c -> k - c keeps every gap
-    and pairs each labeling whose vertex 0 takes c with one where it takes
-    k - c, so one search runs vertex 0 over the colors up to k/2 and
-    counts the labelings with vertex 0 below k/2 twice, those at k/2
-    (even k) once.  That halves the nodes again.  Every count runs in the
-    calling process.
+    grid at spans 6 and 7.  It runs vertex 0 over the colors up to k/2 and
+    counts the rest by the color reversal (see the module docstring), which
+    halves the nodes again.  Every count runs in the calling process.
     workers is a no-op: it must be at least 1 and changes nothing.  It
     stays only because bench/ still passes it, and goes with the bench
     edits of ROADMAP item 1.

@@ -9,6 +9,7 @@ from lpqcycles import (
     ConstraintParams,
     Digraph,
     Labeling,
+    Pattern,
     ProductKind,
     ProductShape,
     Violation,
@@ -236,10 +237,12 @@ def test_torus_stencil_matches_generic_path_on_valid_lifts(kind):
     ConstraintParams(40000, 1),  # a gap no int16 difference reaches
 ])
 def test_torus_violations_edge_colors_match_generic_path(kind, values, params):
+    # unsigned grids take signed differences too, which never wrap around
     rng = np.random.default_rng(len(values))
     for m, n in [(5, 6), (7, 5)]:
         colors = rng.choice(np.array(values), size=(m, n))
-        assert_agrees_with_generic_path(kind, colors, params, max(values))
+        for dtype in (np.int64, np.uint32, np.uint64):
+            assert_agrees_with_generic_path(kind, colors.astype(dtype), params, max(values))
 
 
 @pytest.mark.parametrize("kind", [CART, STRONG])
@@ -342,6 +345,15 @@ def test_validate_checks_neighbours_not_only_degrees(kind):
 def test_torus_violations_guards():
     with pytest.raises(ValueError):
         torus_violations(CART, np.zeros((2, 5), dtype=np.int64))
+    # colors below 2**62 in size take exact int64 differences; one at 2**62
+    # might not, and is refused rather than wrapped
+    for dtype in (np.int64, np.uint64):
+        colors = lift_diagonal(Pattern((0, 2, 4), (2, 1)), CART, 6, 6).color_grid()
+        colors = colors.astype(dtype) * 2**59
+        assert torus_violations(CART, colors) == []
+        colors[0, 0] = 2**62
+        with pytest.raises(ValueError, match="colors"):
+            torus_violations(CART, colors)
 
 
 def test_labeling_guards():

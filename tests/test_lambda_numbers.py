@@ -46,7 +46,9 @@ STRONG = ProductKind.STRONG
 def _breaking(kind):
     """The window grid's constraints with the identity pair (u, v, 1) merged
     in, as the window check compiles them."""
-    g, u, v = lambda_numbers._local_identity(kind)
+    side, a, b = lambda_numbers._WINDOW[kind]
+    g = grid(kind, side, side)
+    u, v = g.shape.vertex_id(*a), g.shape.vertex_id(*b)
     plain = solver.compile_constraints(g, ConstraintParams())
     return solver._compile_pairs(g.n_vertices, g.shape, plain.pairs + ((u, v, 1),))
 
@@ -468,6 +470,20 @@ def test_strong_range_gate_and_solve():
     res = lambda_strong(7, 7, solve=True)
     assert res.value == 6
     assert validate(torus(STRONG, 7, 7), res.witness) == []
+
+
+def test_broken_solver_witness_raises_in_dispatch(monkeypatch):
+    # the solve path validates the solver's witness on the full torus, as
+    # construction validates its lift, before handing it out
+    def broken_solver(g, params=None, budget=None):
+        res = solver.exact_lambda(g, budget=budget)
+        colors = res.witness.colors.copy()
+        colors[1] = colors[0]
+        return solver.LambdaWitness(res.value, Labeling(colors, res.value, res.witness.shape))
+
+    monkeypatch.setattr(lambda_numbers, "exact_lambda", broken_solver)
+    with pytest.raises(RuntimeError, match="solver witness fails validation"):
+        lambda_strong(7, 7, solve=True)
 
 
 def test_solve_path_respects_budget():

@@ -277,16 +277,25 @@ def test_exact_lambda_trivial_params():
     assert exact_lambda(oriented_cycle(5), ConstraintParams(0, 0)).value == 0
 
 
-def test_node_budget_raises_with_node_count():
+@pytest.mark.parametrize("call,max_nodes,settles", [
     # the span-6 witness takes 49 nodes
-    g = torus(STRONG, 7, 7)
+    (lambda b: exists_labeling(torus(STRONG, 7, 7), 6, budget=b) is not None, 48, True),
+    # the span-6 window count takes 591 nodes
+    (lambda b: count_labelings(grid(STRONG, 4, 4), 6, budget=b), 590, 180),
+    (lambda b: enumerate_labelings(grid(CART, 3, 3), 4, budget=b, visitor=lambda c: None),
+     10, None),
+    # within the rival's first slice of the race, then across slices
+    (lambda b: exact_lambda(torus(STRONG, 7, 8), budget=b), 100, None),
+    (lambda b: exact_lambda(torus(STRONG, 7, 8), budget=b), 5000, None),
+    (lambda b: exists_cycle_pattern(1000, 6, (2, 2, 1, 1), b), 1000, None),
+], ids=["exists", "count", "visit", "race-first-slice", "race-later-slice", "word"])
+def test_node_budget_raises_with_node_count(call, max_nodes, settles):
+    # exhaustion raises at the node past max_nodes, wherever it falls
     with pytest.raises(BudgetExhausted) as exc:
-        exists_labeling(g, 6, budget=SolveBudget(max_nodes=48))
-    assert exc.value.nodes == 49
-    assert exists_labeling(g, 6, budget=SolveBudget(max_nodes=49)) is not None
-    # same budget class for enumeration
-    with pytest.raises(BudgetExhausted):
-        enumerate_labelings(grid(CART, 3, 3), 4, budget=SolveBudget(max_nodes=10))
+        call(SolveBudget(max_nodes=max_nodes))
+    assert exc.value.nodes == max_nodes + 1
+    if settles is not None:
+        assert call(SolveBudget(max_nodes=max_nodes + 1)) == settles
 
 
 def test_budget_covers_every_span_of_exact_lambda():
@@ -459,7 +468,9 @@ def _enumerated(case):
     g = (grid if shape == "grid" else torus)(kind, m, n)
     extra = ()
     if identity:
-        _window, u, v = lambda_numbers._local_identity(kind)
+        side, a, b = lambda_numbers._WINDOW[kind]
+        window = grid(kind, side, side)
+        u, v = window.shape.vertex_id(*a), window.shape.vertex_id(*b)
         extra = ((u, v, 1),)
     found = [0, None]
 
@@ -652,8 +663,8 @@ def test_kernel_matches_a_plain_forward_checker(make, value):
 
                 def call(visitor):
                     run = solver._run(cons.n_vertices, fwd, k, (1 << (top + 1)) - 1,
-                                      first, visitor if visit else None, rule)
-                    witness, split = solver._drive(run, limits)
+                                      first, limits, visitor if visit else None, rule)
+                    witness, split = solver._drive(run)
                     splits.append(split)
                     return witness, sum(split)
 
