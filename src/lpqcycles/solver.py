@@ -320,7 +320,7 @@ def _run(
 
     width = k + 2
     full = (1 << (k + 1)) - 1
-    ones = sum(1 << (p * width) for p in range(n_v))
+    ones = ((1 << (n_v * width)) - 1) // ((1 << width) - 1)
     guard = ones << (k + 1)
     data = guard - ones
     masks: list[dict[int, int]] = [{} for _ in range(n_v)]

@@ -109,7 +109,8 @@ def test_lambda_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == 3
     assert "budget exhausted" in err
-    # the window lemma's two counts fit 700 nodes each but not together
+    # the window lemma's count and breaker search fit 700 nodes each but
+    # not together
     code, _, err = run(
         "lemmas", "--which", "strong-local", "--budget-nodes", "700", capsys=capsys,
     )

@@ -34,7 +34,9 @@ from oracles import (
     cyclic_word_feasible,
     descent_terminal,
     dp_count_strong_grid4,
+    forward_check,
     l21_cycle_pattern,
+    pair_gaps,
 )
 
 CART = ProductKind.CARTESIAN
@@ -96,6 +98,20 @@ def test_counterexample_is_the_least_breaking_labeling():
         least, _count = solver._search(_breaking(kind), k, solver._Limits(SolveBudget().max_nodes),
                                        first=True)
         assert rep.witness.as_tuple() == least
+    # and an independent search, in id order with no symmetry broken, meets
+    # the same least breaker, or none exactly where the identity holds
+    for verify, kind in [(verify_lemma_cartesian_local, CART), (verify_lemma_strong_local, STRONG)]:
+        side, a, b = lambda_numbers._WINDOW[kind]
+        g = grid(kind, side, side)
+        pairs = [(u, w, gap) for (u, w), gap in pair_gaps(g).items()]
+        pairs.append((g.shape.vertex_id(*a), g.shape.vertex_id(*b), 1))
+        for k in range(3, 8):
+            rep = verify(span=k)
+            least, _count, _nodes = forward_check(
+                g.n_vertices, pairs, list(range(g.n_vertices)), k, top=k, first=True
+            )
+            assert rep.holds == (least is None)
+            assert (None if rep.witness is None else rep.witness.as_tuple()) == least
 
 
 def test_public_window_check_shares_the_dispatch_cache_entry():
@@ -107,23 +123,28 @@ def test_public_window_check_shares_the_dispatch_cache_entry():
 
 
 def test_window_lemma_spends_one_budget():
-    # each count fits 700 nodes alone (591 and 259), not both together;
-    # no counterexample search runs, as the identity holds
+    # the count (591) and the raced breaker search (259, none found) each
+    # fit 700 nodes alone, not both together
     g = grid(STRONG, 4, 4)
     tight = SolveBudget(max_nodes=700)
     assert count_labelings(g, 6, budget=tight) == 180
     limits = solver._Limits(tight.max_nodes)
-    assert solver._search(_breaking(STRONG), 6, limits) == (None, 0)
+    assert solver._search(_breaking(STRONG), 6, limits, first=True, race=True) == (None, 0)
     assert limits.spent == 259
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         verify_lemma_strong_local(budget=tight)
+    assert exc.value.nodes == 701
+    # where the identity fails, the breaker search stops at its witness, so
+    # a report needs barely more than its count (1,426 and 31,496 nodes)
+    assert not verify_lemma_cartesian_local(span=5, budget=SolveBudget(max_nodes=1_500)).holds
+    assert not verify_lemma_strong_local(span=7, budget=SolveBudget(max_nodes=33_000)).holds
 
 
 def test_cold_dispatch_spends_pinned_nodes_per_step(monkeypatch):
     # a cold lambda_strong(1000, 2000) searches, in order: the span-5
-    # window's two counts (the floor), the span-6 word (none), the span-7
-    # word (the lift), and the span-6 window's two counts (the identity
-    # holds, so no counterexample search runs)
+    # window's count and breaker search (the floor), the span-6 word
+    # (none), the span-7 word (the lift), and the span-6 window's count and
+    # breaker search (none: the identity holds)
     spent = []
 
     def metered(cons, k, limits, *args, **kwargs):
@@ -139,6 +160,11 @@ def test_cold_dispatch_spends_pinned_nodes_per_step(monkeypatch):
     res = lambda_strong(1000, 2000)
     assert (res.lo, res.hi) == (7, 7)
     assert spent == [39, 38, 1_435, 1_032, 591, 259]
+    # where the identity fails, the breaker search stops at the least breaker
+    for kind, k, nodes in [(CART, 5, [1_426, 18]), (STRONG, 7, [31_496, 82])]:
+        spent.clear()
+        assert not lambda_numbers._verify_local(kind, k, SolveBudget()).holds
+        assert spent == nodes
 
 
 def test_report_document_shape():
