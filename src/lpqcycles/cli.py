@@ -35,7 +35,7 @@ from .lambda_numbers import (
     verify_lemma_cartesian_local,
     verify_lemma_strong_local,
 )
-from .patterns import conditions_for, exists_cycle_pattern, semigroup_decompose
+from .patterns import _feasible_words, conditions_for, exists_cycle_pattern, semigroup_decompose
 from .solver import DEFAULT_BUDGET, BudgetExhausted, SolveBudget
 
 
@@ -139,10 +139,7 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     span = _DICHOTOMY[kind][1] if args.span is None else args.span
 
     if args.feasible_up_to is not None:
-        feasible = []
-        for d in range(3, args.feasible_up_to + 1):
-            if exists_cycle_pattern(d, span, conds) is not None:
-                feasible.append(d)
+        feasible = list(_feasible_words(args.feasible_up_to, span, conds))
         if args.out:
             check = f"pattern-span-{span}-feasible-lengths"
             report = CheckReport(check, bool(feasible), len(feasible), feasible)
@@ -225,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", choices=["cartesian", "strong"], default="cartesian",
                    help="defaults --conditions to this product's vector")
     p.add_argument("--feasible-up-to", type=int, default=None, metavar="D",
-                   help="scan lengths 3..D instead of one --length")
+                   help="scan lengths 3..D (D >= 3) instead of one --length")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=_cmd_pattern)
 

@@ -176,6 +176,18 @@ def _signed_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams)
     return tuple(((signed(di, m), signed(dj, n)), gk) for (di, dj), gk in out.items())
 
 
+def _listing(
+    bad: dict[tuple[int, int], tuple[int, ViolationKind]], colors: list[int]
+) -> list[Violation]:
+    """The Violation of each violated pair (u, v) -> (gap, kind), u < v,
+    in lexicographic pair order; colors is indexed by vertex."""
+    out = []
+    for u, v in sorted(bad):
+        gap, kind = bad[u, v]
+        out.append(Violation(kind, (u, v), (colors[u], colors[v]), gap))
+    return out
+
+
 def torus_violations(
     kind: ProductKind, grid: np.ndarray, params: ConstraintParams = DEFAULT_PARAMS
 ) -> list[Violation]:
@@ -186,7 +198,8 @@ def torus_violations(
     row and column offset of the stencil (2 when both sides are at least
     5, up to a side - 1 on smaller tori), and compared with one view of
     that buffer per offset.  A grid with no violated offset returns []
-    before any pair is listed; the result equals validate's on the torus.
+    before any pair is listed; otherwise the flagged cells' pairs go to
+    validate's listing rule, _listing, so the result equals validate's.
     Colors must be below 2**62 in size, so that every difference fits
     int64; others raise ValueError.
     """
@@ -215,32 +228,19 @@ def torus_violations(
     ext[m:] = ext[:pad_i]
     grid = ext[:m, :n]
     diff, mask = np.empty_like(grid), np.empty(grid.shape, dtype=bool)
-    found = []
-    for idx, ((di, dj), (gap, _)) in enumerate(stencil):
+    bad = {}
+    for (di, dj), gap_kind in stencil:
         np.subtract(grid, ext[di:di + m, dj:dj + n], out=diff)
-        np.less(np.abs(diff, out=diff), gap, out=mask)
+        np.less(np.abs(diff, out=diff), gap_kind[0], out=mask)
         if mask.any():
-            found.append((idx, np.flatnonzero(mask)))
-    if not found:
-        return []
-    parts = []
-    for idx, u in found:
-        di, dj = stencil[idx][0]
-        i, j = np.divmod(u, n)
-        w = (i + di) % m * n + (j + dj) % n
-        if (2 * di % m, 2 * dj % n) == (0, 0):
-            # the offset is its own negative: every pair is found from both ends
-            keep = u < w
-            u, w = u[keep], w[keep]
-        parts.append(np.stack([np.minimum(u, w), np.maximum(u, w), np.full(u.size, idx)]))
-    lo, hi, which = np.concatenate(parts, axis=1)
-    order = np.lexsort((hi, lo))
-    flat = grid.reshape(-1)
-    out = []
-    for u, w, idx in zip(lo[order].tolist(), hi[order].tolist(), which[order].tolist()):
-        gap, vkind = stencil[idx][1]
-        out.append(Violation(vkind, (u, w), (int(flat[u]), int(flat[w])), gap))
-    return out
+            u = np.flatnonzero(mask)
+            i, j = np.divmod(u, n)
+            w = (i + di) % m * n + (j + dj) % n
+            # an offset that is its own negative finds each pair from both
+            # ends; keyed (min, max), the pair is listed once
+            pairs = zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist())
+            bad.update(dict.fromkeys(pairs, gap_kind))
+    return _listing(bad, grid.reshape(-1).tolist()) if bad else []
 
 
 def _is_torus(g: Digraph) -> bool:
@@ -270,7 +270,8 @@ def validate(g: Digraph, f: Labeling, params: ConstraintParams = DEFAULT_PARAMS)
     names (as torus and product attach) is checked through the offset
     stencil of torus_violations, with f's colors read in g's grid order.
     Any other graph goes through its constraint_pairs, including one that
-    carries a cyclic shape without being that torus.
+    carries a cyclic shape without being that torus.  Both paths list
+    their violated pairs through one rule, _listing.
     """
 
     if f.n_vertices != g.n_vertices:
@@ -280,24 +281,13 @@ def validate(g: Digraph, f: Labeling, params: ConstraintParams = DEFAULT_PARAMS)
     if _is_torus(g):
         grid = f.colors.reshape(g.shape.rows, g.shape.cols)
         return torus_violations(g.shape.kind, grid, params)
-    pairs = constraint_pairs(g, params)
-    if not pairs:
-        return []
-    import numpy as np
-
-    keys = sorted(pairs)
-    us = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    vs = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    gaps = np.fromiter((pairs[k][0] for k in keys), dtype=np.int64, count=len(keys))
-    bad = np.nonzero(np.abs(f.colors[us] - f.colors[vs]) < gaps)[0]
-    out = []
-    for idx in bad:
-        key = keys[int(idx)]
-        gap, kind = pairs[key]
-        out.append(
-            Violation(kind, key, (int(f.colors[key[0]]), int(f.colors[key[1]])), gap)
-        )
-    return out
+    colors = f.colors.tolist()
+    bad = {
+        (u, v): (gap, kind)
+        for (u, v), (gap, kind) in constraint_pairs(g, params).items()
+        if abs(colors[u] - colors[v]) < gap
+    }
+    return _listing(bad, colors)
 
 
 def is_diagonal(f: Labeling) -> bool:

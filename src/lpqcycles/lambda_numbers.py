@@ -30,7 +30,7 @@ from math import gcd
 from . import solver
 from .graphs import ProductKind, grid, torus
 from .labelings import DEFAULT_PARAMS, Labeling, torus_violations
-from .patterns import Pattern, conditions_for, exists_cycle_pattern, lift_diagonal
+from .patterns import Pattern, _feasible_words, conditions_for, exists_cycle_pattern, lift_diagonal
 from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search, exact_lambda
 
 
@@ -162,17 +162,11 @@ def verify_l2211_periodicity(d_max: int) -> dict[int, Pattern]:
 
     Returns the least witness per feasible length.  The feasible lengths
     are exactly the multiples of 7: seven colors with consecutive gaps of
-    two force a rigid block of length 7.
+    two force a rigid block of length 7.  The scan is the one the CLI's
+    pattern --feasible-up-to runs, and d_max below 3 raises ValueError.
     """
 
-    if d_max < 3:
-        raise ValueError("d_max must be at least 3")
-    out: dict[int, Pattern] = {}
-    for d in range(3, d_max + 1):
-        pat = exists_cycle_pattern(d, 6, (2, 2, 1, 1))
-        if pat is not None:
-            out[d] = pat
-    return out
+    return _feasible_words(d_max, 6, (2, 2, 1, 1))
 
 
 # keyed by the budget, as _verify_local is

@@ -186,3 +186,13 @@ def exists_cycle_pattern(
     if validate_pattern(pat):
         raise RuntimeError("pattern search returned an invalid word")
     return pat
+
+
+def _feasible_words(d_max: int, span: int, conditions: tuple[int, ...]) -> dict[int, Pattern]:
+    """The least word of each length in 3..d_max that has one at span, by
+    length in ascending order; d_max below 3 raises ValueError."""
+
+    if d_max < 3:
+        raise ValueError(f"the length scan needs d_max >= 3, got {d_max}")
+    words = {d: exists_cycle_pattern(d, span, conditions) for d in range(3, d_max + 1)}
+    return {d: pat for d, pat in words.items() if pat is not None}

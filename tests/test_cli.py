@@ -251,6 +251,29 @@ def test_verify_flags_each_violation(tmp_path, capsys):
     assert "need gap >=" in text
 
 
+def _cycle_doc(path, labels):
+    path.write_text(json.dumps({"product": "none", "m": 1, "n": len(labels), "p": 2,
+                                "q": 1, "k": 4, "labels": [labels]}))
+    return str(path)
+
+
+def test_verify_single_cycle(tmp_path, capsys):
+    # a "none" document is checked through the constraint pair map of the cycle
+    code, text, _ = run("verify", _cycle_doc(tmp_path / "ok.json", [0, 2, 4, 1, 3]),
+                        capsys=capsys)
+    assert (code, text) == (0, "valid: 5 vertices, budget 4, no violations\n")
+    code, text, _ = run("verify", _cycle_doc(tmp_path / "bad.json", [0, 2, 4, 3, 1]),
+                        capsys=capsys)
+    assert (code, text) == (1, (
+        "edge-gap: vertices 0 and 4 have colors 0 and 1, need gap >= 2\n"
+        "edge-gap: vertices 2 and 3 have colors 4 and 3, need gap >= 2\n"
+        "invalid: 2 violated constraints\n"
+    ))
+    code, text, err = run("verify", _cycle_doc(tmp_path / "short.json", [0, 2]),
+                          capsys=capsys)
+    assert (code, text, err) == (2, "", "error: oriented cycle needs at least 3 vertices, got 2\n")
+
+
 def test_verify_builds_no_torus_graph(tmp_path, capsys, monkeypatch):
     doc, bad = tmp_path / "c.json", tmp_path / "bad.json"
     code, _, _ = run(
@@ -510,14 +533,26 @@ def test_pattern_explicit_conditions(capsys):
     assert code == 0 and text.strip() == "0 2 4"
 
 
-@pytest.mark.parametrize("conditions", ["", "-1,2"])
-def test_pattern_bad_condition_vector_is_usage_error(capsys, conditions):
-    # an explicit empty vector is not the product's default
-    code, text, err = run(
-        "pattern", "--length", "5", f"--conditions={conditions}", capsys=capsys
-    )
-    assert (code, text) == (2, "")
-    assert err == "error: condition vector must be nonempty and nonnegative\n"
+_BAD_VECTOR = "error: condition vector must be nonempty and nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # an explicit empty vector is not the product's default
+        (["--length", "5", "--conditions="], _BAD_VECTOR),
+        (["--length", "5", "--conditions=-1,2"], _BAD_VECTOR),
+        (["--feasible-up-to", "5", "--conditions=-1,2"], _BAD_VECTOR),
+        # a scan with no length in 3..D is refused, not reported as "none"
+        (["--feasible-up-to", "2", "--conditions=-1,2"],
+         "error: the length scan needs d_max >= 3, got 2\n"),
+        (["--feasible-up-to", "2"], "error: the length scan needs d_max >= 3, got 2\n"),
+    ],
+    ids=["", "-1,2", "scan-5--1,2", "scan-2--1,2", "scan-2"],
+)
+def test_pattern_bad_condition_vector_is_usage_error(capsys, argv, err):
+    code, text, got = run("pattern", *argv, capsys=capsys)
+    assert (code, text, got) == (2, "", err)
 
 
 def test_pattern_requires_length_or_scan(capsys):

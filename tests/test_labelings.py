@@ -100,18 +100,34 @@ def test_validate_size_mismatch():
         validate(oriented_cycle(4), lab([0, 2, 4], 4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 6), min_size=9, max_size=9))
-def test_validate_agrees_with_oracle_on_random_labelings(colors):
-    g = torus(CART, 3, 3)
-    f = lab(colors, 6, g.shape)
-    bad = {(v.pair, v.required) for v in validate(g, f)}
-    want = {
-        ((a, b), need)
-        for (a, b), need in pair_gaps(g).items()
+# tori through the stencil (offsets fold on the 3 x 5 and 3 x 7 strong
+# tori) and two graphs through the pair map
+_ORACLE_GRAPHS = [
+    torus(CART, 3, 3), torus(CART, 4, 4), torus(STRONG, 3, 3), torus(STRONG, 4, 4),
+    torus(STRONG, 3, 5), torus(STRONG, 3, 7), grid(STRONG, 4, 4), oriented_cycle(7),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_oracle_on_random_labelings(data):
+    """The full Violation list, order, kinds and labels included, against
+    one read off the oracle's pair gaps and g's edges in either orientation."""
+    g = data.draw(st.sampled_from(_ORACLE_GRAPHS))
+    p, q = data.draw(st.sampled_from([(2, 1), (1, 3)]))
+    colors = data.draw(st.lists(st.integers(0, 6), min_size=g.n_vertices,
+                                max_size=g.n_vertices))
+    edges = {(u, w) for u, w in g.edges()}
+    want = [
+        Violation(
+            ViolationKind.EDGE_GAP if (a, b) in edges or (b, a) in edges
+            else ViolationKind.TWO_STEP_GAP,
+            (a, b), (colors[a], colors[b]), need,
+        )
+        for (a, b), need in sorted(pair_gaps(g, p, q).items())
         if abs(colors[a] - colors[b]) < need
-    }
-    assert bad == want
+    ]
+    assert validate(g, lab(colors, 6, g.shape), ConstraintParams(p, q)) == want
 
 
 @pytest.mark.parametrize("kind", [CART, STRONG])

@@ -512,6 +512,22 @@ def test_broken_solver_witness_raises_in_dispatch(monkeypatch):
         lambda_strong(7, 7, solve=True)
 
 
+def test_failed_window_identity_raises_in_dispatch(monkeypatch):
+    # with no lift (gcd 2), the lower bound span + 1 rests on the window
+    # identity at the window span; a report that it fails stops the dispatch
+    real = lambda_numbers._verify_local
+
+    def broken_report(kind, span, budget):
+        rep = real(kind, span, budget)
+        if span < lambda_numbers._DICHOTOMY[kind][1]:
+            return rep
+        return lambda_numbers.CheckReport(rep.check, False, rep.count, None)
+
+    monkeypatch.setattr(lambda_numbers, "_verify_local", broken_report)
+    with pytest.raises(RuntimeError, match="local diagonality identity failed"):
+        lambda_strong(48, 50)
+
+
 def test_solve_path_respects_budget():
     from lpqcycles import BudgetExhausted
 

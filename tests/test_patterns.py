@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpqcycles import patterns
 from lpqcycles import (
     Pattern,
     ProductKind,
@@ -331,3 +332,14 @@ def test_exists_cycle_pattern_guards():
     for conds in ((), (-1, 2)):
         with pytest.raises(ValueError, match="condition vector"):
             exists_cycle_pattern(3, 1, conds)
+
+
+def test_invalid_search_word_raises(monkeypatch):
+    # every word the search returns is checked against its conditions
+    # before it becomes a Pattern; a constant word breaks c_1 = 2
+    def broken_search(cons, span, limits, first=False, race=False):
+        return (0,) * cons.n_vertices, 1
+
+    monkeypatch.setattr(patterns, "_search", broken_search)
+    with pytest.raises(RuntimeError, match="pattern search returned an invalid word"):
+        exists_cycle_pattern(5, 4, (2, 1))
