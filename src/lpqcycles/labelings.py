@@ -64,7 +64,10 @@ class Labeling:
             raise ValueError("budget must be nonnegative")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("colors must be a nonempty 1-d array")
-        if arr.min() < 0 or arr.max() > self.k_budget:
+        # one pass: below a budget of 2**63 a negative color reads as a
+        # uint64 above it; at or above 2**63 no int64 exceeds the budget
+        if (arr.min() < 0 if self.k_budget >= 2**63
+                else int(arr.view(np.uint64).max()) > self.k_budget):
             raise ValueError(f"colors must lie in 0..{self.k_budget}")
         if self.shape is not None and arr.size != self.shape.rows * self.shape.cols:
             raise ValueError("colors length does not match grid shape")
@@ -188,12 +191,69 @@ def _listing(
     return out
 
 
+def _diagonal_view(word: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols array v[i, j] = word[(i + j) mod len(word)]: a view,
+    with stride one entry per row and per column, of word repeated past
+    rows + cols - 1 entries."""
+    import numpy as np
+
+    rep = np.concatenate((word,) * -(-(rows + cols - 1) // word.size))
+    step = rep.strides[0]
+    return np.ndarray((rows, cols), rep.dtype, rep, strides=(step, step))
+
+
+def _diagonal_rows(grid: np.ndarray) -> np.ndarray | None:
+    """For an m x n grid that holds r[(i + j) mod n] at every cell, r its
+    row 0, and whose row word repeats across the wrap from the last row to
+    the first, r[(s + m) mod n] = r[s], the view v[i, j] = r[(i + j) mod n]
+    for 0 <= i <= max(m, n); None for any other grid.  These are exactly
+    the grids with grid(i, j) = grid(i + 1 mod m, j - 1 mod n) everywhere."""
+    m, n = grid.shape
+    rows = _diagonal_view(grid[0], max(m, n) + 1, n)
+    if (rows[:m] == grid).all() and (rows[m] == grid[0]).all():
+        return rows
+    return None
+
+
+def _diagonal_exit(kind: ProductKind, grid: np.ndarray, params: ConstraintParams) -> bool:
+    """True when grid is an integer diagonal grid (see _diagonal_rows)
+    whose row word r has colors within +-2**62 and meets, at every
+    position s, |r[s] - r[(s + t) mod n]| >= the largest gap of the
+    stencil offsets (di, dj) with t = (di + dj) mod n.  On such a grid
+    every torus pair (u, u + (di, dj)) has the colors r[s] and r[s + t],
+    so torus_violations would find none.  An offset with t = 0 pairs a
+    color with its own, and such a grid takes the stencil loop."""
+    if grid.dtype.kind not in "iu":
+        return False
+    rows = _diagonal_rows(grid)
+    if rows is None:
+        return False
+    m, n = grid.shape
+    gaps: dict[int, int] = {}
+    for (di, dj), (gap, _vkind) in _stencil(kind, m, n, params):
+        t = (di + dj) % n
+        gaps[t] = max(gap, gaps.get(t, 0))
+    word = rows[0]
+    if 0 in gaps or not (-(2**62) < int(word.min()) and int(word.max()) < 2**62):
+        return False
+    import numpy as np
+
+    # row t of rows is the word shifted by t, and no t exceeds n - 1
+    diff = np.subtract(rows[1:max(gaps) + 1], word, dtype=np.int64)
+    least = np.abs(diff, out=diff).min(axis=1).tolist()
+    return all(least[t - 1] >= gap for t, gap in gaps.items())
+
+
 def torus_violations(
     kind: ProductKind, grid: np.ndarray, params: ConstraintParams = DEFAULT_PARAMS
 ) -> list[Violation]:
     """validate on C_m x C_n for a labeling given as its m x n color grid.
 
-    No graph or pair map is built.  The grid is copied once into a buffer
+    No graph or pair map is built.  An integer grid that is diagonal, with
+    a row word that meets every stencil gap projected onto i + j, returns
+    [] from a handful of array passes (see _diagonal_exit): one comparison
+    of every cell with a strided view of row 0 repeated, and checks on the
+    row word alone.  Any other grid is copied once into a buffer
     that wraps it past its bottom and right edges by the largest folded
     row and column offset of the stencil (2 when both sides are at least
     5, up to a side - 1 on smaller tori), and compared with one view of
@@ -210,6 +270,8 @@ def torus_violations(
     m, n = grid.shape
     if m < 3 or n < 3:
         raise ValueError(f"a torus needs both sides >= 3, got {m}x{n}")
+    if _diagonal_exit(kind, grid, params):
+        return []
     # differences are taken in a signed dtype every one of them fits, so an
     # unsigned grid never wraps around; int16 moves a quarter of int64's bytes
     lo, hi = int(grid.min()), int(grid.max())
@@ -294,11 +356,7 @@ def is_diagonal(f: Labeling) -> bool:
     """True when f(i, j) = f(i+1 mod m, j-1 mod n) holds at every cell."""
     if f.shape is None or not f.shape.cyclic:
         raise ValueError("labeling is not defined on a product of two cycles")
-    import numpy as np
-
-    grid = f.color_grid()
-    shifted = np.roll(np.roll(grid, -1, axis=0), 1, axis=1)
-    return bool((grid == shifted).all())
+    return _diagonal_rows(f.color_grid()) is not None
 
 
 # --- JSON labeling documents -------------------------------------------------

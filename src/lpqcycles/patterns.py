@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .graphs import ProductKind, ProductShape
-from .labelings import DEFAULT_PARAMS, Labeling, _signed_stencil
+from .labelings import DEFAULT_PARAMS, Labeling, _diagonal_view, _signed_stencil
 from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search
 
 
@@ -127,22 +127,18 @@ def lift_diagonal(pattern: Pattern, kind: ProductKind, m: int, n: int) -> Labeli
     """Lift a pattern to the m x n torus along anti-diagonals.
 
     f(i, j) = g((i + j) mod L); defined whenever L divides both m and n.
-    The L x L block of one period is read off the word once and tiled to
-    m x n, so no m x n index array is built.  The budget of the lifted
-    labeling is the pattern's span.
+    The grid is one C-ordered copy of an m x n view of the word repeated,
+    read with stride one entry per row and per column, the view the torus
+    check compares a diagonal grid with; no index array is built.  The
+    budget of the lifted labeling is the pattern's span.
     """
 
     L = pattern.length
     if m % L or n % L:
         raise ValueError(f"pattern length {L} must divide both {m} and {n}")
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
-    # the word twice over, read with stride one per row and per column,
-    # is the L x L block word[(i + j) mod L] without an index array
-    twice = np.array(pattern.colors * 2, dtype=np.int64)
-    block = as_strided(twice, (L, L), twice.strides * 2)
-    grid = np.tile(block, (m // L, n // L))
+    grid = _diagonal_view(np.array(pattern.colors, dtype=np.int64), m, n).copy()
     return Labeling(grid.reshape(-1), pattern.span, ProductShape(kind, m, n, cyclic=True))
 
 

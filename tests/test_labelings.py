@@ -1,4 +1,5 @@
 import json
+import re
 from math import gcd
 
 import numpy as np
@@ -29,7 +30,7 @@ from lpqcycles import (
     validate,
     write_labeling,
 )
-from lpqcycles.labelings import DEFAULT_PARAMS, _signed_stencil, _stencil
+from lpqcycles.labelings import DEFAULT_PARAMS, _diagonal_exit, _signed_stencil, _stencil
 from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows, torus_stencil
 
 CART = ProductKind.CARTESIAN
@@ -309,6 +310,122 @@ def test_torus_violations_pads_past_two_on_small_sides(kind, m, n):
         assert_agrees_with_generic_path(kind, colors, params, 30)
 
 
+# --- the diagonal exit of torus_violations ----------------------------------
+
+EXIT_PARAMS = [ConstraintParams(2, 1), ConstraintParams(1, 2), ConstraintParams(0, 1),
+               ConstraintParams(1, 0), ConstraintParams(3, 3)]
+
+
+def diagonal_grid(word, m, n):
+    """The m x n grid word[(i + j) mod len(word)], built from index arrays."""
+    return np.asarray(word)[(np.arange(m)[:, None] + np.arange(n)) % len(word)]
+
+
+def broken_offsets(kind, word, params):
+    """The word offsets t of lift_conditions that word breaks cyclically."""
+    L = len(word)
+    return {t for t, need in enumerate(lift_conditions(kind, params), start=1)
+            if any(abs(word[s] - word[(s + t) % L]) < need for s in range(L))}
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", EXIT_PARAMS)
+def test_diagonal_exit_agrees_when_one_projected_offset_breaks(kind, params):
+    """A valid lift takes the exit; each one-cell recoloring of its word
+    that breaks exactly one projected offset t, lifted again, does not,
+    and both agree with the generic path."""
+    broken = set()
+    for L in (5, 9):  # from 9 on, t = 1..4 and their negatives differ mod L
+        word = least_lift_word(kind, L, params).colors
+        for m, n in [(L, 2 * L), (2 * L, L), (3 * L, 2 * L)]:
+            grid_ = diagonal_grid(word, m, n)
+            assert _diagonal_exit(kind, grid_, params)
+            assert assert_agrees_with_generic_path(kind, grid_, params, max(word)) == []
+        top = max(word) + 3
+        for s in range(L):
+            for c in range(top + 1):
+                bad = word[:s] + (c,) + word[s + 1:]
+                hit = broken_offsets(kind, bad, params)
+                if len(hit) != 1:
+                    continue
+                broken |= hit
+                for m, n in [(L, 2 * L), (2 * L, L)]:
+                    grid_ = diagonal_grid(bad, m, n)
+                    assert not _diagonal_exit(kind, grid_, params)
+                    assert assert_agrees_with_generic_path(kind, grid_, params, top)
+    # every offset with a positive gap is broken alone by some recoloring
+    assert broken == {t for t, need in enumerate(lift_conditions(kind, params), start=1)
+                      if need}
+
+
+def test_diagonal_exit_checks_the_wrap():
+    """0 2 4 1 3 5 is a valid Cartesian word of period 6: its lift to the
+    6 x 6 torus takes the exit, while its first four rows, diagonal inside
+    the grid, break only across the wrap from the last row to the first."""
+    word = (0, 2, 4, 1, 3, 5)
+    six = diagonal_grid(word, 6, 6)
+    assert _diagonal_exit(CART, six, DEFAULT_PARAMS)
+    assert assert_agrees_with_generic_path(CART, six, DEFAULT_PARAMS, 5) == []
+    four = six[:4]
+    assert (four[1:, :-1] == four[:-1, 1:]).all()
+    assert not is_diagonal(lab(four.reshape(-1), 5, ProductShape(CART, 4, 6, cyclic=True)))
+    assert not _diagonal_exit(CART, four, DEFAULT_PARAMS)
+    want = assert_agrees_with_generic_path(CART, four, DEFAULT_PARAMS, 5)
+    assert want
+    # every violated pair joins a cell of rows 0..1 to one of rows 2..3
+    # through the wrap
+    assert all(v.pair[0] // 6 < 2 <= v.pair[1] // 6 for v in want)
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", EXIT_PARAMS)
+def test_diagonal_exit_on_sides_3_and_4(kind, params):
+    """On sides 3 and 4 folded offsets can project onto t = 0 mod n (the
+    strong (2, 1) on 3 rows, (2, 2) on 4 columns); such grids take the
+    stencil loop.  Diagonal grids of every word length dividing both
+    sides, valid or not, agree with the generic path."""
+    rng = np.random.default_rng(34)
+    shapes = [(3, 3), (3, 6), (6, 3), (4, 4), (4, 8), (8, 4), (3, 12), (12, 4), (3, 9)]
+    zeros = []
+    for m, n in shapes:
+        onto_zero = any((di + dj) % n == 0 for (di, dj), _gk in _stencil(kind, m, n, params))
+        if onto_zero:
+            zeros.append((m, n))
+        for L in range(1, gcd(m, n) + 1):
+            if gcd(m, n) % L:
+                continue
+            for _trial in range(4):
+                grid_ = diagonal_grid(rng.integers(0, 12, L), m, n)
+                if onto_zero:
+                    assert not _diagonal_exit(kind, grid_, params)
+                assert_agrees_with_generic_path(kind, grid_, params, 11)
+    # a strong torus with 3 rows, or 3 or 4 columns, has one; Cartesian none
+    assert zeros == ([mn for mn in shapes if mn != (4, 8)] if kind is STRONG else [])
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", EXIT_PARAMS)
+def test_diagonal_exit_across_dtypes_and_views(kind, params):
+    """Valid and one-cell-broken lifts as int16, uint8, uint32, uint64 and
+    float64 grids and as non-contiguous views; float grids never take the
+    exit, integer grids take it exactly when the lift is valid."""
+    word = least_lift_word(kind, 7, params)
+    for m, n in [(7, 14), (14, 7)]:
+        valid = diagonal_grid(word.colors, m, n)
+        broken = valid.copy()
+        # a color taken over from the neighbour (0, 1) or (0, 2) away, at a gap >= 1
+        broken[m - 1, 3] = broken[m - 1, 4 if params.p else 5]
+        for grid_, ok in ((valid, True), (broken, False)):
+            for dtype in (np.int16, np.uint8, np.uint32, np.uint64, np.float64):
+                cast = grid_.astype(dtype)
+                wide = np.zeros((n, 2 * m), dtype)
+                wide[:, ::2] = cast.T
+                for view in (cast, wide[:, ::2].T):
+                    assert _diagonal_exit(kind, view, params) is (ok and dtype is not np.float64)
+                    got = assert_agrees_with_generic_path(kind, view, params, word.span)
+                    assert (got == []) is ok
+
+
 def test_validate_checks_a_torus_shape_against_the_graph():
     """A cyclic shape on a graph that is not that torus routes to the pair
     map: the oriented path 0 -> ... -> 8 under a 3 x 3 Cartesian torus shape
@@ -370,6 +487,13 @@ def test_torus_violations_guards():
         colors[0, 0] = 2**62
         with pytest.raises(ValueError, match="colors"):
             torus_violations(CART, colors)
+    # a diagonal grid whose word reaches +-2**62 takes the loop, which refuses it
+    word = np.array([0, 1, 2], dtype=np.int64) * 2**61
+    for colors in (diagonal_grid(word, 6, 6), diagonal_grid(-word, 6, 6),
+                   diagonal_grid(word, 6, 6).astype(np.uint64)):
+        with pytest.raises(ValueError, match="colors"):
+            torus_violations(CART, colors)
+        assert torus_violations(CART, colors // 2) == []
 
 
 def test_labeling_guards():
@@ -383,6 +507,22 @@ def test_labeling_guards():
         Labeling(np.array([0, 1]), -1)
     with pytest.raises(ValueError):
         lab([0, 1, 2], 4, ProductShape(CART, 2, 2, cyclic=True))
+
+
+@pytest.mark.parametrize("k", [0, 4, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**64])
+def test_labeling_range_check_at_every_budget(k):
+    """Colors -1, k and k + 1 against budgets up to 2**64; a color above
+    the largest int64 cannot be held, so there the largest int64 is the
+    color accepted and -2**63 another one refused."""
+    message = re.escape(f"colors must lie in 0..{k}")
+    top = min(k, 2**63 - 1)
+    assert lab([0, top, top // 2], k).k_budget == k
+    for bad in ([0, -1], [-1, top], [-(2**63), 0]):
+        with pytest.raises(ValueError, match=message):
+            lab(bad, k)
+    if k < 2**63 - 1:
+        with pytest.raises(ValueError, match=message):
+            lab([k + 1, 0], k)
 
 
 def test_labeling_is_immutable():

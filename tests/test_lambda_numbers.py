@@ -3,7 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lpqcycles import lambda_numbers, patterns, solver
+from lpqcycles import labelings, lambda_numbers, patterns, solver
 from lpqcycles import (
     BudgetExhausted,
     CertificateKind,
@@ -443,6 +443,47 @@ def test_construction_lifts_the_paper_block_words():
                 assert word.length == d and word.span == 7
                 f = lift_diagonal(word, STRONG, d, d)
                 assert torus_violations(STRONG, f.color_grid()) == []
+
+
+def _lifted_sides(kind):
+    """Every (m, n) with sides 40..100 on which construction lifts a word."""
+    return [(m, n) for m in range(40, 101) for n in range(40, 101)
+            if gcd(m, n) >= 3 if kind is CART or m % 7 == n % 7 == 0 or gcd(m, n) >= 42]
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_every_construction_takes_the_diagonal_exit(kind, monkeypatch):
+    """construction validates each lift it makes for sides 40..100 through
+    the diagonal exit of torus_violations, never the stencil loop, so a
+    silent fall-through cannot hide behind an equal answer."""
+    check = labelings._diagonal_exit
+    taken = []
+
+    def recorded(*args):
+        taken.append(check(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(labelings, "_diagonal_exit", recorded)
+    lifted = _lifted_sides(kind)
+    for m in range(40, 101):
+        for n in range(40, 101):
+            before = len(taken)
+            made = lambda_numbers.construction(kind, m, n)
+            assert (made is not None) is ((m, n) in lifted), (m, n)
+            assert taken[before:] == ([True] if made else []), (m, n)
+    assert len(taken) == len(lifted) > 100
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+def test_dispatch_lifts_match_their_definition(kind):
+    """Every lift the dispatch hands out with sides 40..100 is
+    word[(i + j) mod L] at every cell, a C-contiguous, read-only int64 array."""
+    for m, n in _lifted_sides(kind):
+        word, f = lambda_numbers.construction(kind, m, n)
+        i, j = np.indices((m, n))
+        assert (f.color_grid() == np.array(word.colors)[(i + j) % word.length]).all(), (m, n)
+        assert f.colors.dtype == np.int64 and f.colors.flags.c_contiguous
+        assert not f.colors.flags.writeable
 
 
 def test_broken_lift_raises_in_dispatch_and_construct(monkeypatch):
