@@ -7,7 +7,7 @@ v->u) are all rejected at construction time.
 Vertices are 0-based integers.  Product graphs use row-major vertex ids:
 the vertex (i, j) of a product with n columns has id i*n + j.  The first
 factor indexes rows, the second indexes columns.  _EDGE_VECTORS states
-each product's edges once; product and the torus stencil of labelings read it.
+each product's edges once; product and labelings._offsets read it.
 """
 
 from __future__ import annotations

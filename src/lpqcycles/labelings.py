@@ -45,9 +45,9 @@ DEFAULT_PARAMS = ConstraintParams(2, 1)
 class Labeling:
     """A total color assignment with a declared budget.
 
-    ``colors`` is indexed by vertex id; any integer sequence is taken and
-    held as a read-only int64 numpy array.  ``shape`` carries grid
-    metadata when the labeling lives on a product graph.
+    ``colors`` is indexed by vertex id; integers or whole, finite floats
+    are taken and held as a read-only int64 numpy array.  ``shape``
+    carries grid metadata when the labeling lives on a product graph.
     """
 
     colors: np.ndarray
@@ -57,6 +57,7 @@ class Labeling:
     def __post_init__(self) -> None:
         import numpy as np
 
+        _refuse_non_integers(np.asarray(self.colors))
         arr = np.asarray(self.colors, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "colors", arr)
@@ -128,55 +129,48 @@ def constraint_pairs(
 _Stencil = tuple[tuple[tuple[int, int], tuple[int, ViolationKind]], ...]
 
 
+@cache
+def _offsets(kind: ProductKind, params: ConstraintParams) -> _Stencil:
+    """The constrained offsets of every torus of kind, before folding: the
+    edge vectors of graphs._EDGE_VECTORS at gap p, then the sums of two of
+    them at gap q, where a sum that is also an edge vector stays an edge
+    at gap max(p, q).  Edges come first; every component lies in 0..2."""
+
+    edges = _EDGE_VECTORS[kind]
+    out = dict.fromkeys(edges, (params.p, ViolationKind.EDGE_GAP))
+    for a in edges:
+        for b in edges:
+            key = (a[0] + b[0], a[1] + b[1])
+            gap, vkind = out.get(key, (params.q, ViolationKind.TWO_STEP_GAP))
+            out[key] = (max(gap, params.q), vkind)
+    return tuple(out.items())
+
+
 def _stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams) -> _Stencil:
-    """The constrained offsets of C_m x C_n, each with its gap and kind.
+    """The constrained offsets of C_m x C_n: _offsets folded mod (m, n) and
+    up to sign, where offsets that meet keep the larger gap and count as
+    edges if either one is, exactly as constraint_pairs merges pairs."""
 
-    Every edge of the torus is a translate of an edge vector of kind in
-    graphs._EDGE_VECTORS and every two-step pair a translate of a sum of
-    two of them; conditions_for projects these offsets onto i + j.  They
-    are folded mod (m, n) and up to sign; offsets that fold together on
-    small tori keep the larger gap and count as edges if either one is,
-    and (0, 0) is dropped, exactly as constraint_pairs merges the pairs
-    they generate.  The fold is cached per (kind, min(m, 5), min(n, 5),
-    params) by _signed_stencil; this only reduces its offsets mod (m, n).
-    """
-
-    return tuple(
-        ((di % m, dj % n), gap_kind)
-        for (di, dj), gap_kind in _signed_stencil(kind, min(m, 5), min(n, 5), params)
-    )
+    out: dict[tuple[int, int], tuple[int, ViolationKind]] = {}
+    for (di, dj), (gap, vkind) in _offsets(kind, params):
+        key = min((di % m, dj % n), (-di % m, -dj % n))
+        # edges come first, so the first offset at a key sets its kind
+        first_gap, vkind = out.get(key, (gap, vkind))
+        out[key] = (max(gap, first_gap), vkind)
+    return tuple(out.items())
 
 
 @cache
-def _signed_stencil(kind: ProductKind, m: int, n: int, params: ConstraintParams) -> _Stencil:
-    """The fold of _stencil on sides of at most 5, where a side of 5
-    stands for every side of at least 5.
+def _word_conditions(kind: ProductKind, params: ConstraintParams) -> tuple[int, ...]:
+    """The condition vector (c_1, ..., c_r) of diagonal lifts: c_t is the
+    largest gap of the _offsets (di, dj) with di + dj = t, 0 where none
+    projects.  A diagonal labeling f(i, j) = w((i + j) mod L) is valid
+    exactly when w meets it at every position."""
 
-    Edge vectors and their sums have components 0..2.  On a side of at
-    least 5 no two of them meet mod the side or up to sign unless equal,
-    and the sign of a fold is settled by the other component or by 2 < 3,
-    so the fold is the same on every such side up to the representative
-    of a component: one of 3 or 4 on a side of 5 stands for side - 2 or
-    side - 1, and is kept as -2 or -1.
-    """
-
-    edges = _EDGE_VECTORS[kind]
-
-    def fold(di: int, dj: int) -> tuple[int, int]:
-        return min((di % m, dj % n), (-di % m, -dj % n))
-
-    out = {fold(*e): (params.p, ViolationKind.EDGE_GAP) for e in edges}
-    for a in edges:
-        for b in edges:
-            key = fold(a[0] + b[0], a[1] + b[1])
-            if key != (0, 0):
-                gap, vkind = out.get(key, (params.q, ViolationKind.TWO_STEP_GAP))
-                out[key] = (max(gap, params.q), vkind)
-
-    def signed(x: int, side: int) -> int:
-        return x - side if side == 5 and x > 2 else x
-
-    return tuple(((signed(di, m), signed(dj, n)), gk) for (di, dj), gk in out.items())
+    gaps: dict[int, int] = {}
+    for (di, dj), (gap, _vkind) in _offsets(kind, params):
+        gaps[di + dj] = max(gap, gaps.get(di + dj, 0))
+    return tuple(gaps.get(t, 0) for t in range(1, max(gaps) + 1))
 
 
 def _listing(
@@ -217,31 +211,41 @@ def _diagonal_rows(grid: np.ndarray) -> np.ndarray | None:
 
 def _diagonal_exit(kind: ProductKind, grid: np.ndarray, params: ConstraintParams) -> bool:
     """True when grid is an integer diagonal grid (see _diagonal_rows)
-    whose row word r has colors within +-2**62 and meets, at every
-    position s, |r[s] - r[(s + t) mod n]| >= the largest gap of the
-    stencil offsets (di, dj) with t = (di + dj) mod n.  On such a grid
-    every torus pair (u, u + (di, dj)) has the colors r[s] and r[s + t],
-    so torus_violations would find none.  An offset with t = 0 pairs a
-    color with its own, and such a grid takes the stencil loop."""
+    whose row word r has colors within +-2**62 and meets the lift lemma:
+    |r[s] - r[(s + t) mod n]| >= c_t at every s, for c = _word_conditions.
+    On such a grid the torus pair (u, u + (di, dj)) has the colors r[s]
+    and r[s + di + dj], so torus_violations would find none."""
     if grid.dtype.kind not in "iu":
         return False
     rows = _diagonal_rows(grid)
     if rows is None:
         return False
-    m, n = grid.shape
-    gaps: dict[int, int] = {}
-    for (di, dj), (gap, _vkind) in _stencil(kind, m, n, params):
-        t = (di + dj) % n
-        gaps[t] = max(gap, gaps.get(t, 0))
     word = rows[0]
-    if 0 in gaps or not (-(2**62) < int(word.min()) and int(word.max()) < 2**62):
+    if not (-(2**62) < int(word.min()) and int(word.max()) < 2**62):
         return False
     import numpy as np
 
-    # row t of rows is the word shifted by t, and no t exceeds n - 1
-    diff = np.subtract(rows[1:max(gaps) + 1], word, dtype=np.int64)
+    # row t of the view is the word shifted by t mod n; t = 0 mod n fails any positive gap
+    conds = _word_conditions(kind, params)
+    diff = np.subtract(_diagonal_view(word, len(conds) + 1, word.size)[1:], word, dtype=np.int64)
     least = np.abs(diff, out=diff).min(axis=1).tolist()
-    return all(least[t - 1] >= gap for t, gap in gaps.items())
+    return all(x >= c for x, c in zip(least, conds))
+
+
+def _refuse_non_integers(colors: np.ndarray) -> None:
+    """ValueError for colors that int64 would change or parse: fractional,
+    NaN or infinite floats, strings, complex numbers and objects other than
+    integers (which may exceed int64, and then raise OverflowError)."""
+    import numpy as np
+    from numbers import Integral
+
+    kind = colors.dtype.kind
+    if kind == "f":
+        whole = (np.isfinite(colors) & (np.trunc(colors) == colors)).all()
+    else:
+        whole = kind in "biu" or kind == "O" and all(isinstance(c, Integral) for c in colors.flat)
+    if not whole:
+        raise ValueError("colors must be integers or whole, finite floats")
 
 
 def torus_violations(
@@ -250,18 +254,18 @@ def torus_violations(
     """validate on C_m x C_n for a labeling given as its m x n color grid.
 
     No graph or pair map is built.  An integer grid that is diagonal, with
-    a row word that meets every stencil gap projected onto i + j, returns
+    a row word that meets the condition vector of diagonal lifts, returns
     [] from a handful of array passes (see _diagonal_exit): one comparison
     of every cell with a strided view of row 0 repeated, and checks on the
-    row word alone.  Any other grid is copied once into a buffer
+    row word alone.  Any other grid is copied once into an int64 buffer
     that wraps it past its bottom and right edges by the largest folded
-    row and column offset of the stencil (2 when both sides are at least
-    5, up to a side - 1 on smaller tori), and compared with one view of
-    that buffer per offset.  A grid with no violated offset returns []
+    row and column offset of _stencil (2 when both sides are at least 5,
+    up to a side - 1 on smaller tori), and compared with one view of that
+    buffer per offset.  A grid with no violated offset returns []
     before any pair is listed; otherwise the flagged cells' pairs go to
     validate's listing rule, _listing, so the result equals validate's.
-    Colors must be below 2**62 in size, so that every difference fits
-    int64; others raise ValueError.
+    Colors must be integers (floats only when whole) below 2**62 in size,
+    so that every difference fits int64; others raise ValueError.
     """
 
     import numpy as np
@@ -270,21 +274,17 @@ def torus_violations(
     m, n = grid.shape
     if m < 3 or n < 3:
         raise ValueError(f"a torus needs both sides >= 3, got {m}x{n}")
+    _refuse_non_integers(grid)
     if _diagonal_exit(kind, grid, params):
         return []
-    # differences are taken in a signed dtype every one of them fits, so an
-    # unsigned grid never wraps around; int16 moves a quarter of int64's bytes
     lo, hi = int(grid.min()), int(grid.max())
-    if -(2**14) < lo and hi < 2**14:
-        dtype = np.int16
-    elif -(2**62) < lo and hi < 2**62:
-        dtype = np.int64
-    else:
+    if not (-(2**62) < lo and hi < 2**62):
         raise ValueError(f"colors must lie within +-2**62 for exact differences, got {lo}..{hi}")
     stencil = _stencil(kind, m, n, params)
     pad_i = max(di for (di, _), _ in stencil)
     pad_j = max(dj for (_, dj), _ in stencil)
-    ext = np.empty((m + pad_i, n + pad_j), dtype)
+    # int64 differences, which an unsigned grid cannot wrap around
+    ext = np.empty((m + pad_i, n + pad_j), np.int64)
     ext[:m, :n] = grid
     ext[:m, n:] = ext[:m, :pad_j]
     ext[m:] = ext[:pad_i]

@@ -8,8 +8,9 @@ itself and fails whenever c_t >= 1; short cycles really do forbid such
 patterns.  Lifting a pattern along anti-diagonals, f(i, j) = g((i + j) mod
 L), turns pattern validity into labeling validity on the m x n torus
 whenever L divides both m and n, under the condition vector that
-conditions_for reads off the torus stencil: the product's edge vectors
-(graphs._EDGE_VECTORS) and their two-step sums, projected onto i + j.
+labelings._word_conditions projects once onto i + j from the torus offsets
+(labelings._offsets: edge vectors and their two-step sums); conditions_for
+returns it, and the torus check's diagonal exit reads it.
 
 The word search has no engine of its own: exists_cycle_pattern compiles
 the offset conditions into (position, position, gap) pairs and hands them
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .graphs import ProductKind, ProductShape
-from .labelings import DEFAULT_PARAMS, Labeling, _diagonal_view, _signed_stencil
+from .labelings import DEFAULT_PARAMS, Labeling, _diagonal_view, _word_conditions
 from .solver import DEFAULT_BUDGET, SolveBudget, _Limits, _compile_pairs, _search
 
 
@@ -63,11 +64,9 @@ class PatternViolation:
 
 def conditions_for(kind: ProductKind) -> tuple[int, ...]:
     """Condition vector whose patterns lift to valid L(2,1)-labelings: c_t is
-    the largest gap of the unfolded torus stencil's offsets at di + dj = t."""
-    gaps: dict[int, int] = {}
-    for (di, dj), (gap, _) in _signed_stencil(kind, 5, 5, DEFAULT_PARAMS):
-        gaps[di + dj] = max(gap, gaps.get(di + dj, 0))
-    return tuple(gaps.get(t, 0) for t in range(1, max(gaps) + 1))
+    the largest gap of the torus offsets (labelings._offsets) with
+    di + dj = t, the same vector the torus check's diagonal exit reads."""
+    return _word_conditions(kind, DEFAULT_PARAMS)
 
 
 def validate_pattern(pattern: Pattern) -> list[PatternViolation]:

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -28,9 +29,10 @@ from lpqcycles import (
     torus,
     torus_violations,
     validate,
+    validate_pattern,
     write_labeling,
 )
-from lpqcycles.labelings import DEFAULT_PARAMS, _diagonal_exit, _signed_stencil, _stencil
+from lpqcycles.labelings import DEFAULT_PARAMS, _diagonal_exit, _stencil, _word_conditions
 from oracles import complement, l21_cycle_pattern, pair_gaps, reduce_rows, torus_stencil
 
 CART = ProductKind.CARTESIAN
@@ -157,13 +159,12 @@ def test_torus_stencil_matches_generic_path(kind, m):
 @pytest.mark.parametrize("params", [ConstraintParams(2, 1), ConstraintParams(1, 2),
                                     ConstraintParams(3, 3)])
 def test_cached_stencil_matches_the_direct_fold(kind, params):
-    """One cached stencil per side clamped to 5 serves every torus: on
-    sides 3..12 its offsets mod (m, n) are the fold at (m, n) itself,
-    including the strong 3 x n folds of (2, 1) and (2, 2) that depend on n."""
+    """The cached offsets folded per torus are the fold at (m, n) itself on
+    sides 3..12, including the strong 3 x n folds of (2, 1) and (2, 2) that
+    depend on n."""
     for m in range(3, 13):
         for n in range(3, 13):
             assert _stencil(kind, m, n, params) == torus_stencil(kind, m, n, params)
-    assert _signed_stencil(kind, 5, 5, params) is _signed_stencil(kind, 5, 5, params)
     assert _stencil(kind, 40, 41, params) == torus_stencil(kind, 40, 41, params)
 
 
@@ -192,6 +193,13 @@ def lift_conditions(kind, params):
     a two-step pair cells two to four apart."""
     p, q = params.p, params.q
     return (p, q) if kind is CART else (p, max(p, q), q, q)
+
+
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (3, 1), (3, 2), (2, 2), (1, 2), (4, 1), (4, 3),
+                                (5, 2), (0, 1), (1, 0), (0, 0)])
+def test_word_conditions_match_the_lift_oracle(kind, pq):
+    assert _word_conditions(kind, ConstraintParams(*pq)) == lift_conditions(kind, ConstraintParams(*pq))
 
 
 def least_lift_word(kind, L, params):
@@ -358,6 +366,40 @@ def test_diagonal_exit_agrees_when_one_projected_offset_breaks(kind, params):
                       if need}
 
 
+@pytest.mark.parametrize("kind", [CART, STRONG])
+@pytest.mark.parametrize("params", EXIT_PARAMS)
+def test_diagonal_exit_is_the_lift_lemma(kind, params):
+    """On sides 3..12 the lift of a word w of every length L dividing both
+    sides takes the exit exactly when w meets _word_conditions, the vector
+    conditions_for reads, as validate_pattern checks it; the least valid
+    word, one cell of it recolored, and random words, each against the
+    generic path as well."""
+    rng = np.random.default_rng(params.p * 10 + params.q)
+    conds = _word_conditions(kind, params)
+    least = {}
+    taken = refused = 0
+    for m in range(3, 13):
+        for n in range(3, 13):
+            for L in range(1, gcd(m, n) + 1):
+                if m % L or n % L:
+                    continue
+                if L not in least:
+                    least[L] = least_lift_word(kind, L, params)
+                words = [tuple(rng.integers(0, 8, L).tolist())]
+                if least[L] is not None:
+                    word = least[L].colors
+                    s = int(rng.integers(0, L))
+                    words += [word, word[:s] + ((word[s] + 1) % (max(word) + 2),) + word[s + 1:]]
+                for w in words:
+                    grid_ = diagonal_grid(w, m, n)
+                    ok = validate_pattern(Pattern(w, conds)) == []
+                    assert _diagonal_exit(kind, grid_, params) is ok
+                    assert (assert_agrees_with_generic_path(kind, grid_, params, max(w)) == []) is ok
+                    taken += ok
+                    refused += not ok
+    assert taken >= 10 and refused >= 100
+
+
 def test_diagonal_exit_checks_the_wrap():
     """0 2 4 1 3 5 is a valid Cartesian word of period 6: its lift to the
     6 x 6 torus takes the exit, while its first four rows, diagonal inside
@@ -381,14 +423,16 @@ def test_diagonal_exit_checks_the_wrap():
 @pytest.mark.parametrize("params", EXIT_PARAMS)
 def test_diagonal_exit_on_sides_3_and_4(kind, params):
     """On sides 3 and 4 folded offsets can project onto t = 0 mod n (the
-    strong (2, 1) on 3 rows, (2, 2) on 4 columns); such grids take the
-    stencil loop.  Diagonal grids of every word length dividing both
-    sides, valid or not, agree with the generic path."""
+    strong (2, 1) on 3 rows, (2, 2) on 4 columns); where such an offset has
+    a positive gap, no diagonal grid takes the exit.  Diagonal grids of
+    every word length dividing both sides, valid or not, agree with the
+    generic path."""
     rng = np.random.default_rng(34)
     shapes = [(3, 3), (3, 6), (6, 3), (4, 4), (4, 8), (8, 4), (3, 12), (12, 4), (3, 9)]
     zeros = []
     for m, n in shapes:
-        onto_zero = any((di + dj) % n == 0 for (di, dj), _gk in _stencil(kind, m, n, params))
+        onto_zero = any((di + dj) % n == 0 and gap
+                        for (di, dj), (gap, _k) in _stencil(kind, m, n, params))
         if onto_zero:
             zeros.append((m, n))
         for L in range(1, gcd(m, n) + 1):
@@ -399,8 +443,10 @@ def test_diagonal_exit_on_sides_3_and_4(kind, params):
                 if onto_zero:
                     assert not _diagonal_exit(kind, grid_, params)
                 assert_agrees_with_generic_path(kind, grid_, params, 11)
-    # a strong torus with 3 rows, or 3 or 4 columns, has one; Cartesian none
-    assert zeros == ([mn for mn in shapes if mn != (4, 8)] if kind is STRONG else [])
+    # a strong torus with 3 rows, or 3 or 4 columns, has one at gap q;
+    # Cartesian none
+    assert zeros == ([mn for mn in shapes if mn != (4, 8)] if kind is STRONG and params.q
+                     else [])
 
 
 @pytest.mark.parametrize("kind", [CART, STRONG])
@@ -494,6 +540,48 @@ def test_torus_violations_guards():
         with pytest.raises(ValueError, match="colors"):
             torus_violations(CART, colors)
         assert torus_violations(CART, colors // 2) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_stencil_loop_differences_are_exact_below_2_62(dtype):
+    """A non-diagonal grid of colors up to 2**61 takes the stencil loop,
+    which lists what the generic path lists."""
+    colors = lift_diagonal(Pattern((0, 2, 4), (2, 1)), CART, 6, 6).color_grid()
+    colors = colors.astype(dtype) * 2**59
+    colors[0, 0] = colors[0, 1]
+    assert assert_agrees_with_generic_path(CART, colors, DEFAULT_PARAMS, 2**62) != []
+
+
+@pytest.mark.parametrize("colors", [
+    [0.5, 2.7, 4.9],  # fractional floats, which int64 would truncate
+    [0.0, np.nan, 2.0],
+    [0.0, np.inf, 2.0],
+    [-np.inf, 2.0, 4.0],
+    ["0", "2"],  # strings, which int64 would parse
+    [b"0", b"2"],
+    [0.5 + 0j, 2 + 1j],  # complex, whose imaginary part int64 would drop
+    np.array(["0", 2], dtype=object),  # objects, which int64 would parse or truncate
+    [Fraction(1, 2), 2],
+])
+def test_non_integer_colors_are_refused(colors):
+    with pytest.raises(ValueError, match="colors"):
+        Labeling(colors, 4)
+    grid_ = np.resize(np.asarray(colors), (3, 3))
+    with pytest.raises(ValueError, match="colors"):
+        torus_violations(CART, grid_)
+
+
+def test_whole_float_and_object_integer_colors_are_taken():
+    f = Labeling([0.0, 2.0, 4.0], 4)
+    assert f.colors.dtype == np.int64 and f.colors.tolist() == [0, 2, 4]
+    assert Labeling(np.array([0, np.int64(2), True], dtype=object), 4).colors.tolist() == [0, 2, 1]
+    # -0.5 next to 1.5 differs by 2.0, yet both would truncate to 0 and 1;
+    # the grid is refused rather than read as a violation it does not have
+    colors = diagonal_grid((0, 2, 4, 1, 3), 5, 5).astype(np.float64)
+    assert torus_violations(CART, colors) == []
+    colors[0, :2] = -0.5, 1.5
+    with pytest.raises(ValueError, match="colors"):
+        torus_violations(CART, colors)
 
 
 def test_labeling_guards():
